@@ -1,15 +1,17 @@
 //! The staged detection pipeline: fusion-policy truth tables, seeded
-//! property tests, bit-identical equivalence against the legacy
-//! `TrustMonitor` ingest paths, and three detectors fused side by side.
+//! property tests, bit-identical parity with the committed golden
+//! outputs of the single-sensor path, and three detectors fused side by
+//! side.
+
+mod support;
 
 use emtrust::acquisition::{Stimulus, TestBench};
 use emtrust::detector::EuclideanDetector;
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
-use emtrust::monitor::{Alarm, TrustMonitor};
 use emtrust::persistence::{PersistenceConfig, SpectralPersistenceDetector};
 use emtrust::sanitize::TraceSanitizer;
 use emtrust::spectral::{SpectralConfig, SpectralDetector};
-use emtrust::{DetectionPipeline, FusionPolicy, ScoreDetail, SpectralWindowDetector};
+use emtrust::{DetectionPipeline, FusionPolicy, SpectralWindowDetector};
 use emtrust_silicon::Channel;
 use emtrust_trojan::{A2Trojan, ProtectedChip, TrojanKind};
 use proptest::prelude::*;
@@ -129,10 +131,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Bit-identical equivalence with the legacy monitor
+// Bit-identical parity with the committed golden outputs
 // ---------------------------------------------------------------------
 
-/// The pipeline `TrustMonitor::builder(fp).build()` wraps.
+/// The single-sensor pipeline: the Euclidean detector under Or fusion.
 fn euclidean_pipeline(fp: &GoldenFingerprint) -> DetectionPipeline {
     DetectionPipeline::builder()
         .detector(Box::new(EuclideanDetector::new(fp.clone())))
@@ -144,17 +146,19 @@ fn euclidean_pipeline(fp: &GoldenFingerprint) -> DetectionPipeline {
 fn per_trace_ingest_matches_the_legacy_monitor_bit_for_bit() {
     let sim_chip = ProtectedChip::with_trojans(&[TrojanKind::T4PowerDegrader]);
     let si_chip = ProtectedChip::with_trojans(&[TrojanKind::T2LeakageLeaker]);
-    let scenarios: [(TestBench, TrojanKind); 2] = [
+    let scenarios: [(&str, TestBench, TrojanKind); 2] = [
         (
+            "per_trace_sim_t4",
             TestBench::simulation(&sim_chip).expect("sim bench"),
             TrojanKind::T4PowerDegrader,
         ),
         (
+            "per_trace_silicon_t2",
             TestBench::silicon(&si_chip, 3).expect("silicon bench"),
             TrojanKind::T2LeakageLeaker,
         ),
     ];
-    for (bench, trojan) in scenarios {
+    for (name, bench, trojan) in scenarios {
         let golden = bench
             .collect_with(KEY, STIMULUS, 12, None, Channel::OnChipSensor, 11)
             .expect("golden");
@@ -170,39 +174,17 @@ fn per_trace_ingest_matches_the_legacy_monitor_bit_for_bit() {
             .collect_with(KEY, STIMULUS, 6, Some(trojan), Channel::OnChipSensor, 13)
             .expect("armed");
 
-        let mut monitor = TrustMonitor::builder(fp.clone()).build();
         let mut pipeline = euclidean_pipeline(&fp);
-        for t in clean.traces().iter().chain(armed.traces().iter()) {
-            let legacy = monitor.ingest_trace(t).expect("monitor ingest");
-            let outcome = pipeline.try_ingest_trace(t).expect("pipeline ingest");
-            match (&legacy, &outcome.alarm) {
-                (None, None) => {}
-                (
-                    Some(Alarm::TimeDomain {
-                        trace_index,
-                        distance,
-                        threshold,
-                        ..
-                    }),
-                    Some(fused),
-                ) => {
-                    assert_eq!(*trace_index, fused.index);
-                    let vote = outcome.votes.first().expect("euclidean vote");
-                    assert_eq!(distance.to_bits(), vote.score.statistic.to_bits());
-                    assert_eq!(threshold.to_bits(), vote.score.threshold.to_bits());
-                }
-                (l, p) => panic!("alarm divergence: {l:?} vs {p:?}"),
-            }
-        }
-        assert!(!monitor.alarms().is_empty(), "the Trojan half must alarm");
-        assert_eq!(monitor.alarms().len(), pipeline.alarms().len());
-        assert_eq!(
-            monitor.alarm_rate().to_bits(),
-            pipeline.alarm_rate().to_bits(),
-            "alarm rates must be bit-identical"
-        );
-        assert_eq!(monitor.health(), pipeline.health());
-        assert_eq!(monitor.traces_seen(), pipeline.traces_seen());
+        let outcomes: Vec<_> = clean
+            .traces()
+            .iter()
+            .chain(armed.traces().iter())
+            .map(|t| pipeline.try_ingest_trace(t).expect("pipeline ingest"))
+            .collect();
+        let golden_outputs = support::scenario(name);
+        golden_outputs.assert_traces(&outcomes);
+        golden_outputs.assert_run(&pipeline);
+        assert!(!pipeline.alarms().is_empty(), "the Trojan half must alarm");
     }
 }
 
@@ -233,45 +215,21 @@ fn sanitized_batch_ingest_matches_the_legacy_monitor() {
             .expect("armed")
             .traces(),
     );
-    // A corrupted acquisition the sanitizer must reject on both paths.
+    // A corrupted acquisition the sanitizer must reject.
     traces[1][7] = f64::NAN;
 
-    let mut monitor = TrustMonitor::builder(fp.clone())
-        .with_sanitizer(TraceSanitizer::default())
-        .build();
     let mut pipeline = DetectionPipeline::builder()
         .detector(Box::new(EuclideanDetector::new(fp.clone())))
         .fusion(FusionPolicy::Or)
         .sanitizer(TraceSanitizer::default())
         .build();
-
-    let legacy = monitor.ingest_batch_report(&traces);
     let batch = pipeline.ingest_batch(&traces);
 
-    assert_eq!(legacy.clean(), batch.clean());
-    assert_eq!(legacy.degraded(), batch.degraded());
-    assert_eq!(legacy.rejected(), batch.rejected());
-    assert_eq!(legacy.alarms.len(), batch.alarms.len());
+    let golden_outputs = support::scenario("sanitized_batch");
+    golden_outputs.assert_traces(&batch.outcomes);
+    golden_outputs.assert_run(&pipeline);
+    assert_eq!(batch.rejected(), 1);
     assert!(!batch.alarms.is_empty(), "the armed traces must alarm");
-    for (l, p) in legacy.alarms.iter().zip(batch.alarms.iter()) {
-        let Alarm::TimeDomain {
-            trace_index,
-            distance,
-            ..
-        } = l
-        else {
-            panic!("unexpected alarm kind {l:?}");
-        };
-        assert_eq!(*trace_index, p.index);
-        let vote = p.verdicts.first().expect("euclidean vote");
-        assert_eq!(distance.to_bits(), vote.score.statistic.to_bits());
-    }
-    assert_eq!(monitor.traces_rejected(), pipeline.traces_rejected());
-    assert_eq!(monitor.health(), pipeline.health());
-    assert_eq!(
-        monitor.alarm_rate().to_bits(),
-        pipeline.alarm_rate().to_bits()
-    );
 }
 
 #[test]
@@ -289,9 +247,6 @@ fn window_ingest_matches_the_legacy_monitor() {
         .expect("golden window");
     let spectral = SpectralDetector::fit(&golden_window, SpectralConfig::default()).expect("fit");
 
-    let mut monitor = TrustMonitor::builder(fp.clone())
-        .with_spectral(spectral.clone())
-        .build();
     let mut pipeline = DetectionPipeline::builder()
         .detector(Box::new(EuclideanDetector::new(fp.clone())))
         .detector(Box::new(SpectralWindowDetector::new(spectral)))
@@ -301,41 +256,16 @@ fn window_ingest_matches_the_legacy_monitor() {
     let quiet = bench
         .collect_continuous(KEY, 48, None, Channel::OnChipSensor, 3)
         .expect("quiet window");
-    assert!(monitor.ingest_window(&quiet).expect("ingest").is_none());
-    assert!(pipeline
-        .try_ingest_window(&quiet)
-        .expect("ingest")
-        .alarm
-        .is_none());
-
+    let mut outcomes = vec![pipeline.try_ingest_window(&quiet).expect("ingest")];
     bench.arm_a2(true).expect("arm");
     let armed = bench
         .collect_continuous(KEY, 48, None, Channel::OnChipSensor, 4)
         .expect("armed window");
-    let legacy = monitor.ingest_window(&armed).expect("ingest");
-    let outcome = pipeline.try_ingest_window(&armed).expect("ingest");
-    let Some(Alarm::Spectral {
-        anomaly,
-        spot_count,
-        ..
-    }) = legacy
-    else {
-        panic!("legacy monitor must raise a spectral alarm, got {legacy:?}");
-    };
-    let fused = outcome.alarm.expect("pipeline spectral alarm");
-    assert_eq!(fused.index, 1, "second window");
-    let vote = fused
-        .verdicts
-        .iter()
-        .find(|v| v.detector == "spectral")
-        .expect("spectral vote");
-    let ScoreDetail::Spectral { anomalies } = &vote.score.detail else {
-        panic!("spectral vote must carry anomalies");
-    };
-    assert_eq!(anomalies.len(), spot_count);
-    let top = anomalies.first().expect("at least one anomaly");
-    assert_eq!(top.frequency_hz.to_bits(), anomaly.frequency_hz.to_bits());
-    assert_eq!(monitor.windows_seen(), pipeline.windows_seen());
+    outcomes.push(pipeline.try_ingest_window(&armed).expect("ingest"));
+
+    let golden_outputs = support::scenario("window");
+    golden_outputs.assert_windows(&outcomes);
+    golden_outputs.assert_run(&pipeline);
 }
 
 // ---------------------------------------------------------------------
