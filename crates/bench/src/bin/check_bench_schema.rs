@@ -129,15 +129,19 @@ fn check_telemetry(doc: &Value) -> Result<(), String> {
     for (i, record) in forensics.iter().enumerate() {
         (|| {
             expect_u64(record, "correlation_id")?;
-            expect_str(record, "kind")?;
-            expect_array(record, "recent_distances")?;
-            expect_array(record, "recent_spots")?;
-            Ok::<(), String>(())
+            expect_str(record, "domain")?;
+            if expect_array(record, "detectors")?.is_empty() {
+                return Err("\"detectors\" must not be empty".to_string());
+            }
+            if !expect_bool(record, "fused_alarm")? {
+                return Err("\"fused_alarm\" must be true on an alarm's record".to_string());
+            }
+            Ok(())
         })()
         .map_err(|e| format!("forensics[{i}]: {e}"))?;
     }
     if forensics.len() != expect_u64(alarms, "total")? as usize {
-        return Err("one forensic bundle per alarm required".into());
+        return Err("one decision record per alarm required".into());
     }
     Ok(())
 }

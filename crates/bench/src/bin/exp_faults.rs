@@ -11,7 +11,7 @@
 
 //! **Robustness — sensor fault-injection sweep**: drives the golden
 //! (Trojan-free) chip through every [`FaultKind`] at three intensities
-//! with the sanitized monitor in front of the fingerprint, and writes
+//! with the sanitized pipeline in front of the fingerprint, and writes
 //! `BENCH_faults.json` with the per-scenario accounting. The claims the
 //! artifact carries, all asserted here before the file is written:
 //!
@@ -19,7 +19,7 @@
 //! - **100 % accounting** — every collected trace ends up exactly one
 //!   of clean / degraded / rejected;
 //! - **no silent detector drift** — with no faults installed, the
-//!   sanitized monitor raises bit-identical alarms to the plain one and
+//!   sanitized pipeline raises bit-identical alarms to the plain one and
 //!   [`TestBench::collect_robust`] returns the exact `collect` set;
 //! - **bounded false-alarm inflation** — at the default intensity
 //!   (0.5) every fault family keeps the golden-trace false-alarm rate
@@ -34,7 +34,7 @@ use emtrust::faults::{FaultKind, FaultPlan, FaultSpec};
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use emtrust::sanitize::{SanitizerConfig, TraceSanitizer};
 use emtrust::telemetry::sink::{json_escape, json_number};
-use emtrust::TrustMonitor;
+use emtrust::{DetectionPipeline, EuclideanDetector};
 use emtrust_bench::{ArtifactDoc, OrExit, Report, EXPERIMENT_KEY};
 use emtrust_silicon::Channel;
 use emtrust_trojan::ProtectedChip;
@@ -86,6 +86,14 @@ fn sanitizer() -> TraceSanitizer {
     })
 }
 
+/// The sweep's sanitized single-sensor pipeline.
+fn screened_pipeline(fp: &GoldenFingerprint) -> DetectionPipeline {
+    DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp.clone())))
+        .sanitizer(sanitizer())
+        .build()
+}
+
 fn run_scenario(
     fp: &GoldenFingerprint,
     traces: &[Vec<f64>],
@@ -93,18 +101,16 @@ fn run_scenario(
     intensity: f64,
 ) -> Scenario {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut monitor = TrustMonitor::builder(fp.clone())
-            .with_sanitizer(sanitizer())
-            .build();
-        let batch = monitor.ingest_batch_report(traces);
+        let mut pipeline = screened_pipeline(fp);
+        let batch = pipeline.ingest_batch(traces);
         let accounted = batch.clean() + batch.degraded() + batch.rejected() == traces.len()
-            && monitor.traces_seen() + monitor.traces_rejected() == traces.len() as u64;
+            && pipeline.traces_seen() + pipeline.traces_rejected() == traces.len() as u64;
         (
             batch.clean(),
             batch.degraded(),
             batch.rejected(),
             batch.alarms.len(),
-            monitor.health().label(),
+            pipeline.health().label(),
             accounted,
         )
     }));
@@ -165,7 +171,7 @@ fn main() {
     let fp = GoldenFingerprint::fit(&golden, config).or_exit("golden fit");
 
     // Clean baseline: the same suspect campaign the sweep corrupts, run
-    // uncorrupted through the plain monitor.
+    // uncorrupted through the plain (unsanitized) pipeline.
     let clean_suspects = bench
         .collect_with(
             EXPERIMENT_KEY,
@@ -176,23 +182,23 @@ fn main() {
             SUSPECT_SEED,
         )
         .or_exit("clean suspects");
-    let mut plain = TrustMonitor::builder(fp.clone()).build();
+    let mut plain = DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp.clone())))
+        .build();
     plain
-        .ingest_batch(clean_suspects.traces())
+        .try_ingest_batch(clean_suspects.traces())
         .or_exit("clean baseline ingest");
     let baseline_alarms = plain.alarms().len();
     let baseline_far = baseline_alarms as f64 / N_SUSPECT as f64;
 
     // Faults-disabled equivalence: the sanitizer must be a pure screen —
     // same clean traces, bit-identical alarms.
-    let mut screened = TrustMonitor::builder(fp.clone())
-        .with_sanitizer(sanitizer())
-        .build();
-    let clean_batch = screened.ingest_batch_report(clean_suspects.traces());
+    let mut screened = screened_pipeline(&fp);
+    let clean_batch = screened.ingest_batch(clean_suspects.traces());
     let clean_bit_identical = screened.alarms() == plain.alarms() && clean_batch.rejected() == 0;
     assert!(
         clean_bit_identical,
-        "sanitized monitor must not change clean-run alarms"
+        "sanitized pipeline must not change clean-run alarms"
     );
     let plain_collect = bench
         .collect(
@@ -221,7 +227,7 @@ fn main() {
     );
 
     // The sweep: every fault family × every intensity, on-chip channel
-    // only, one fresh monitor per scenario.
+    // only, one fresh pipeline per scenario.
     let mut scenarios = Vec::new();
     for kind in FaultKind::ALL {
         for intensity in INTENSITIES {

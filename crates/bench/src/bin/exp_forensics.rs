@@ -15,7 +15,7 @@
 //!
 //! Two campaigns feed one decision log:
 //!
-//! 1. **A2 trigger flight recording** — a spectral monitor watches
+//! 1. **A2 trigger flight recording** — a spectral pipeline watches
 //!    dormant continuous windows (the frozen pre-context), the A2
 //!    Trojan's trigger wire starts flipping for exactly one window (the
 //!    alarm), then the chip goes dormant again (the post-context). The
@@ -42,8 +42,9 @@ use emtrust::sanitize::TraceSanitizer;
 use emtrust::spectral::{SpectralConfig, SpectralDetector};
 use emtrust::telemetry::{
     self, decisions_jsonl, DecisionRecord, FlightRecorderConfig, ForensicsConfig, InMemoryRecorder,
+    LabelSet,
 };
-use emtrust::TrustMonitor;
+use emtrust::{DetectionPipeline, EuclideanDetector, SpectralWindowDetector};
 use emtrust_bench::{write_artifact, ArtifactDoc, OrExit, Report, EXPERIMENT_KEY, TROJANS};
 use emtrust_silicon::Channel;
 use emtrust_trojan::{A2Trojan, ProtectedChip};
@@ -83,11 +84,11 @@ fn main() {
 
     let registry = Arc::new(InMemoryRecorder::new());
     telemetry::install(registry.clone());
-    let mut monitor = TrustMonitor::builder(fp)
-        .with_spectral(detector)
-        .with_sanitizer(TraceSanitizer::default())
-        .with_chip_id("chip0")
-        .with_forensics(ForensicsConfig {
+    let mut pipeline = DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp)))
+        .detector(Box::new(SpectralWindowDetector::new(detector)))
+        .labels(LabelSet::new().with("chip_id", "chip0"))
+        .forensics(ForensicsConfig {
             flight: FlightRecorderConfig {
                 pre: PRE_WINDOWS,
                 post: POST_WINDOWS,
@@ -95,16 +96,15 @@ fn main() {
             },
             ..ForensicsConfig::default()
         })
+        .sanitizer(TraceSanitizer::default())
         .build();
 
     // Pre-context: the chip is dormant; re-observing the fit window is
     // guaranteed clean, so the flight recorder's ring holds only quiet
     // records when the trigger fires.
     for _ in 0..PRE_WINDOWS {
-        let alarm = monitor
-            .ingest_window(&golden_window)
-            .or_exit("dormant ingest");
-        assert!(alarm.is_none(), "dormant window must not alarm");
+        let outcome = pipeline.ingest_window(&golden_window);
+        assert!(outcome.alarm.is_none(), "dormant window must not alarm");
     }
 
     // The trigger wire starts flipping: same stimulus, same noise seed —
@@ -120,27 +120,25 @@ fn main() {
         )
         .or_exit("triggering window");
     bench.arm_a2(false).or_exit("A2 installed above");
-    let alarm = monitor
+    let alarm = pipeline
         .ingest_window(&triggering)
-        .or_exit("trigger ingest")
+        .alarm
         .or_exit("the A2 trigger window must alarm");
-    let correlation_id = alarm.correlation_id();
+    let correlation_id = alarm.correlation_id;
 
     // Post-context: dormant again; the window seals once it fills.
     for _ in 0..POST_WINDOWS {
-        monitor
-            .ingest_window(&golden_window)
-            .or_exit("post-context ingest");
+        pipeline.ingest_window(&golden_window);
     }
     // One defective trace for schema coverage of rejected records
     // (outside the flight window — it seals before this record).
     let mut bad = golden.traces()[0].clone();
     bad[7] = f64::NAN;
-    monitor.ingest_checked(&bad);
-    monitor.seal_flight_windows();
+    pipeline.ingest_trace(&bad);
+    pipeline.seal_flight_windows();
 
     // The proof: the alarm's flight window reconstructs the incident.
-    let flight = monitor
+    let flight = pipeline
         .flight_windows()
         .iter()
         .find(|w| w.correlation_id == correlation_id)
@@ -172,7 +170,7 @@ fn main() {
         flight.records[..PRE_WINDOWS].iter().all(|r| !r.fused_alarm),
         "pre-context must be quiet"
     );
-    let rejected = monitor
+    let rejected = pipeline
         .decisions()
         .iter()
         .filter(|r| r.verdict == "rejected")
@@ -194,7 +192,7 @@ fn main() {
             ],
             vec![
                 "decision records".into(),
-                monitor.decisions().len().to_string(),
+                pipeline.decisions().len().to_string(),
             ],
         ],
     );
@@ -257,7 +255,7 @@ fn main() {
     );
 
     // ---- Artifacts. ----
-    let mut all_records: Vec<DecisionRecord> = monitor.decisions().to_vec();
+    let mut all_records: Vec<DecisionRecord> = pipeline.decisions().to_vec();
     all_records.extend(array.decisions().iter().cloned());
     write_artifact("TELEMETRY_decisions.jsonl", &decisions_jsonl(&all_records));
 

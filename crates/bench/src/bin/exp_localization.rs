@@ -13,9 +13,8 @@
 //!
 //! A 4×2 grid of sub-spirals tiles the die; every tile runs its own
 //! detection pipeline against its own golden fingerprint, and the
-//! [`Localizer`](emtrust::array::Localizer) fuses the per-tile anomaly
-//! margins into a heat-map centroid that is ranked against the
-//! floorplan's placement regions. Each of the four digital Trojans is
+//! array's localizer fuses the per-tile anomaly margins into a heat-map
+//! centroid that is ranked against the floorplan's placement regions. Each of the four digital Trojans is
 //! armed in turn and the experiment reports whether its placement
 //! region (`trojan1` … `trojan4`) comes back at rank 1 (`hit@1`) or
 //! within the top three (`hit@3`).

@@ -16,7 +16,8 @@
 //! [`InMemoryRecorder`] — and writes:
 //!
 //! - `BENCH_telemetry.json` — per-stage latency breakdown, recorder
-//!   overhead, alarm summary and the forensic bundles;
+//!   overhead, alarm summary and the forensic pass's alarmed
+//!   [`DecisionRecord`]s;
 //! - `TELEMETRY_prometheus.txt` — the Prometheus text-exposition
 //!   snapshot of the fully-labeled forensic run;
 //! - `TELEMETRY_events.jsonl` — the structured event log (one JSON
@@ -38,15 +39,16 @@
 //! degradation" claim applied to our own instrumentation.
 //!
 //! [`InMemoryRecorder`]: emtrust::telemetry::InMemoryRecorder
+//! [`DecisionRecord`]: emtrust::telemetry::DecisionRecord
 
 use emtrust::acquisition::TestBench;
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use emtrust::parallel::ParallelConfig;
 use emtrust::spectral::{SpectralConfig, SpectralDetector};
 use emtrust::telemetry::sink::{events_jsonl, json_escape, json_number, prometheus_text};
-use emtrust::telemetry::{self, ForensicsConfig, InMemoryRecorder, SpanProfile};
+use emtrust::telemetry::{self, ForensicsConfig, InMemoryRecorder, LabelSet, SpanProfile};
 use emtrust::TrustError;
-use emtrust::TrustMonitor;
+use emtrust::{DetectionPipeline, DetectorDomain, EuclideanDetector, SpectralWindowDetector};
 use emtrust_bench::{
     standard_chip, write_artifact, ArtifactDoc, OrExit, Report, EXPERIMENT_KEY, TROJANS,
 };
@@ -61,15 +63,16 @@ const WINDOW_BLOCKS: usize = 24;
 const WORKERS: usize = 2;
 
 /// One full Table-1 sweep: fit on golden traces, screen every Trojan's
-/// suspect batch through the monitor, then one spectral window with the
-/// noisiest register-bank Trojan armed. `labeled` stamps a `chip_id`
-/// identity label on the monitor; `forensic` additionally enables the
-/// decision log and alarm flight recorder.
+/// suspect batch through a Euclidean + spectral pipeline, then one
+/// spectral window with the noisiest register-bank Trojan armed.
+/// `labeled` stamps a `chip_id` identity label on the pipeline;
+/// `forensic` additionally enables the decision log and alarm flight
+/// recorder.
 fn run_sweep(
     chip: &ProtectedChip,
     labeled: bool,
     forensic: bool,
-) -> Result<TrustMonitor, TrustError> {
+) -> Result<DetectionPipeline, TrustError> {
     let pool = ParallelConfig::default().with_workers(WORKERS);
     let bench = TestBench::simulation(chip)?.with_parallel(pool);
     let config = FingerprintConfig {
@@ -87,14 +90,16 @@ fn run_sweep(
         0x7E2,
     )?;
     let detector = SpectralDetector::fit(&golden_window, SpectralConfig::default())?;
-    let mut builder = TrustMonitor::builder(fp).with_spectral(detector);
+    let mut builder = DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp)))
+        .detector(Box::new(SpectralWindowDetector::new(detector)));
     if labeled {
-        builder = builder.with_chip_id("chip0");
+        builder = builder.labels(LabelSet::new().with("chip_id", "chip0"));
     }
     if forensic {
-        builder = builder.with_forensics(ForensicsConfig::default());
+        builder = builder.forensics(ForensicsConfig::default());
     }
-    let mut monitor = builder.build();
+    let mut pipeline = builder.build();
     for (i, kind) in TROJANS.into_iter().enumerate() {
         let suspects = bench.collect(
             EXPERIMENT_KEY,
@@ -103,7 +108,7 @@ fn run_sweep(
             Channel::OnChipSensor,
             0x7E3 + i as u64,
         )?;
-        monitor.ingest_batch(suspects.traces())?;
+        pipeline.try_ingest_batch(suspects.traces())?;
     }
     let armed_window = bench.collect_continuous(
         EXPERIMENT_KEY,
@@ -112,8 +117,8 @@ fn run_sweep(
         Channel::OnChipSensor,
         0x7E2,
     )?;
-    monitor.ingest_window(&armed_window)?;
-    Ok(monitor)
+    pipeline.try_ingest_window(&armed_window)?;
+    Ok(pipeline)
 }
 
 fn main() {
@@ -124,21 +129,21 @@ fn main() {
     // the one-atomic-load fast path.
     telemetry::uninstall();
     let t0 = Instant::now();
-    let null_monitor = run_sweep(&chip, false, false).or_exit("null-recorder sweep");
+    let null_pipeline = run_sweep(&chip, false, false).or_exit("null-recorder sweep");
     let null_seconds = t0.elapsed().as_secs_f64();
 
     // Pass 2 — full in-memory registry installed.
     let registry = Arc::new(InMemoryRecorder::new());
     telemetry::install(registry.clone());
     let t0 = Instant::now();
-    let monitor = run_sweep(&chip, false, false).or_exit("recorded sweep");
+    let recorded_pipeline = run_sweep(&chip, false, false).or_exit("recorded sweep");
     let recorded_seconds = t0.elapsed().as_secs_f64();
     telemetry::uninstall();
 
     // Pass 3 — labels configured but no recorder: the disabled path of
     // the labeled plane must still be a near-no-op.
     let t0 = Instant::now();
-    let disabled_monitor = run_sweep(&chip, true, false).or_exit("disabled labeled sweep");
+    let disabled_pipeline = run_sweep(&chip, true, false).or_exit("disabled labeled sweep");
     let disabled_seconds = t0.elapsed().as_secs_f64();
 
     // Pass 4 — everything on: recorder, identity labels, decision
@@ -146,26 +151,26 @@ fn main() {
     let forensic_registry = Arc::new(InMemoryRecorder::new());
     telemetry::install(forensic_registry.clone());
     let t0 = Instant::now();
-    let mut forensic_monitor = run_sweep(&chip, true, true).or_exit("forensic sweep");
+    let mut forensic_pipeline = run_sweep(&chip, true, true).or_exit("forensic sweep");
     let forensic_seconds = t0.elapsed().as_secs_f64();
     telemetry::uninstall();
-    forensic_monitor.seal_flight_windows();
+    forensic_pipeline.seal_flight_windows();
 
     // Every pass must detect identically — telemetry observes, it never
     // steers.
     for (other, name) in [
-        (&monitor, "recorded"),
-        (&disabled_monitor, "disabled-labeled"),
-        (&forensic_monitor, "forensic"),
+        (&recorded_pipeline, "recorded"),
+        (&disabled_pipeline, "disabled-labeled"),
+        (&forensic_pipeline, "forensic"),
     ] {
         assert_eq!(
-            null_monitor.alarms(),
+            null_pipeline.alarms(),
             other.alarms(),
             "{name} run must raise exactly the alarms of the null run"
         );
     }
     assert!(
-        !monitor.alarms().is_empty(),
+        !recorded_pipeline.alarms().is_empty(),
         "the Trojan sweep must raise alarms"
     );
 
@@ -201,13 +206,13 @@ fn main() {
         &stage_rows,
     );
 
-    let time_domain = monitor
+    let time_domain = recorded_pipeline
         .alarms()
         .iter()
-        .filter(|a| matches!(a, emtrust::Alarm::TimeDomain { .. }))
+        .filter(|a| a.domain == DetectorDomain::PerEncryption)
         .count();
-    let spectral = monitor.alarms().len() - time_domain;
-    let first_correlation_id = monitor.alarms()[0].correlation_id();
+    let spectral = recorded_pipeline.alarms().len() - time_domain;
+    let first_correlation_id = recorded_pipeline.alarms()[0].correlation_id;
     report.table(
         "Sweep summary",
         &["metric", "value"],
@@ -228,7 +233,10 @@ fn main() {
                 "forensic overhead".into(),
                 format!("{forensics_overhead_pct:+.2}%"),
             ],
-            vec!["alarms".into(), monitor.alarms().len().to_string()],
+            vec![
+                "alarms".into(),
+                recorded_pipeline.alarms().len().to_string(),
+            ],
             vec!["  time-domain".into(), time_domain.to_string()],
             vec!["  spectral".into(), spectral.to_string()],
             vec![
@@ -237,11 +245,11 @@ fn main() {
             ],
             vec![
                 "decision records".into(),
-                forensic_monitor.decisions().len().to_string(),
+                forensic_pipeline.decisions().len().to_string(),
             ],
             vec![
                 "flight windows".into(),
-                forensic_monitor.flight_windows().len().to_string(),
+                forensic_pipeline.flight_windows().len().to_string(),
             ],
         ],
     );
@@ -250,7 +258,7 @@ fn main() {
     report.scalar("overhead_pct", overhead_pct);
     report.scalar("disabled_overhead_pct", disabled_overhead_pct);
     report.scalar("forensics_overhead_pct", forensics_overhead_pct);
-    report.scalar("alarm_count", monitor.alarms().len() as f64);
+    report.scalar("alarm_count", recorded_pipeline.alarms().len() as f64);
 
     // Span-tree profile of the fully-enabled pass: hottest self-time
     // nodes, plus the folded-stacks artifact for flamegraph tooling.
@@ -273,9 +281,10 @@ fn main() {
         &hot_rows,
     );
 
-    let forensics: Vec<String> = monitor
-        .forensics()
+    let forensics: Vec<String> = forensic_pipeline
+        .decisions()
         .iter()
+        .filter(|r| r.fused_alarm)
         .map(|r| format!("    {}", r.to_json()))
         .collect();
     let labeled_series: usize = forensic_snapshot
@@ -303,10 +312,10 @@ fn main() {
         .field_f64("disabled_overhead_pct", disabled_overhead_pct)
         .field_f64("forensic_seconds", forensic_seconds)
         .field_f64("forensics_overhead_pct", forensics_overhead_pct)
-        .field_u64("decision_count", forensic_monitor.decisions().len() as u64)
+        .field_u64("decision_count", forensic_pipeline.decisions().len() as u64)
         .field_u64(
             "flight_window_count",
-            forensic_monitor.flight_windows().len() as u64,
+            forensic_pipeline.flight_windows().len() as u64,
         )
         .field_u64("labeled_series", labeled_series as u64)
         .field_u64("series_overflowed", forensic_snapshot.series_overflowed)
@@ -316,7 +325,7 @@ fn main() {
             format!(
                 "{{\"total\": {}, \"time_domain\": {time_domain}, \
                  \"spectral\": {spectral}, \"first_correlation_id\": {first_correlation_id}}}",
-                monitor.alarms().len()
+                recorded_pipeline.alarms().len()
             ),
         )
         .field_array("forensics", &forensics);

@@ -230,9 +230,8 @@ impl GoldenFingerprint {
     }
 
     /// Evaluates a batch of traces, reporting each trace's outcome
-    /// individually instead of aborting on the first failure. The
-    /// hardened monitor ingestion path uses this so one corrupted trace
-    /// cannot shadow the verdicts of its batch-mates.
+    /// individually instead of aborting on the first failure, so one
+    /// corrupted trace cannot shadow the verdicts of its batch-mates.
     pub fn evaluate_each<T: AsRef<[f64]> + Sync>(
         &self,
         traces: &[T],

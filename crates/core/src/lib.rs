@@ -34,26 +34,26 @@
 //!   across consecutive windows — no golden model required.
 //!
 //! Detection runs as a staged pipeline
-//! ([`pipeline::DetectionPipeline`]): every observation is sanitized,
+//! ([`pipeline::DetectionPipeline`]) — the runtime loop that turns
+//! sensor traces into alarms: every observation is sanitized,
 //! featurized once into a shared [`features::FeatureFrame`], scored by
 //! every registered [`detector::Detector`], and the per-detector votes
-//! are fused into one alarm decision by a [`fusion::FusionPolicy`].
+//! are fused into one alarm decision by a [`fusion::FusionPolicy`]. The
+//! paper's monitor is a pipeline with an Euclidean detector, an optional
+//! spectral detector, and [`fusion::FusionPolicy::Or`].
 //!
 //! [`acquisition::TestBench`] assembles the full experiment: the
 //! Trojan-carrying AES chip (`emtrust-trojan`), the measurement physics
 //! (`emtrust-em`), and optionally the fabricated-chip non-idealities
-//! (`emtrust-silicon`). [`monitor::TrustMonitor`] is the runtime loop
-//! that turns detections into alarms — today a thin compatibility
-//! wrapper over a pipeline with an Euclidean detector, an optional
-//! spectral detector, and [`fusion::FusionPolicy::Or`].
+//! (`emtrust-silicon`).
 //!
 //! Every pipeline stage is instrumented through [`telemetry`]
 //! (re-exported from `emtrust-telemetry`): install a
 //! [`telemetry::Recorder`] to capture hierarchical timing spans,
-//! counters, and distance histograms; alarms carry correlation ids and a
-//! ring-buffer forensic bundle (see [`monitor::AlarmRecord`]). With no
-//! recorder installed every instrumentation point costs a single relaxed
-//! atomic load.
+//! counters, and distance histograms; alarms carry correlation ids that
+//! key their [`telemetry::DecisionRecord`] and alarm flight window. With
+//! no recorder installed every instrumentation point costs a single
+//! relaxed atomic load.
 //!
 //! # Examples
 //!
@@ -92,7 +92,6 @@ pub mod fingerprint;
 pub mod fusion;
 pub mod health;
 pub mod learned;
-pub mod monitor;
 pub mod parallel;
 pub mod persistence;
 pub mod pipeline;
@@ -102,8 +101,8 @@ pub mod spectral;
 
 pub use acquisition::{RetryPolicy, RobustCollection, TestBench, TraceReport, TraceSet};
 pub use array::{
-    ArrayBuilder, ArrayConfig, ArrayVerdict, ConsensusConfig, ConsensusDetector, Localizer,
-    RegionScore, SensorArray, TileScore,
+    ArrayBuilder, ArrayConfig, ConsensusConfig, ConsensusDetector, RegionScore, SensorArray,
+    TileScore,
 };
 pub use attribution::{Attribution, CellEvidence, CellFeatures, CellScore};
 pub use baseline::{
@@ -120,7 +119,6 @@ pub use fingerprint::{FingerprintConfig, GoldenFingerprint};
 pub use fusion::FusionPolicy;
 pub use health::{HealthConfig, HealthTracker, HealthTransition, SensorHealth};
 pub use learned::{LearnedConfig, LearnedDetector, LogisticModel, TrainSpec};
-pub use monitor::{Alarm, TrustMonitor, TrustMonitorBuilder};
 pub use parallel::ParallelConfig;
 pub use persistence::{PersistenceConfig, SpectralPersistenceDetector};
 pub use pipeline::{

@@ -22,10 +22,25 @@
 //!
 //! Batch entry points fan stages 2–3 across a [`ParallelConfig`] worker
 //! pool with chunk layouts independent of the worker count, so results
-//! are bit-identical for every worker count. The legacy
-//! [`TrustMonitor`](crate::monitor::TrustMonitor) is a thin
-//! compatibility wrapper over a pipeline with an Euclidean detector, an
-//! optional spectral detector, and [`FusionPolicy::Or`].
+//! are bit-identical for every worker count.
+//!
+//! Every entry point comes in two forms: `ingest_*` runs the sanitized
+//! path and never fails (unscoreable observations come back rejected),
+//! while `try_ingest_*` scores strictly and returns any error with the
+//! pipeline left unchanged. The paper's runtime monitor is a pipeline
+//! with an [`EuclideanDetector`], optionally a [`SpectralWindowDetector`],
+//! and [`FusionPolicy::Or`]:
+//!
+//! ```no_run
+//! # use emtrust::{DetectionPipeline, EuclideanDetector, SpectralWindowDetector};
+//! # fn demo(fp: emtrust::GoldenFingerprint, det: emtrust::SpectralDetector) {
+//! let pipeline = DetectionPipeline::builder()
+//!     .detector(Box::new(EuclideanDetector::new(fp)))
+//!     .detector(Box::new(SpectralWindowDetector::new(det)))
+//!     .build();
+//! # let _ = pipeline;
+//! # }
+//! ```
 
 use crate::array::{ConsensusConfig, ConsensusDetector};
 use crate::baseline::{BaselineSource, CalibrationState};
@@ -53,9 +68,9 @@ use emtrust_telemetry::{
 
 /// A fused alarm raised by the pipeline.
 ///
-/// Like the legacy [`Alarm`](crate::monitor::Alarm), the
-/// `correlation_id` is forensic metadata: [`PartialEq`] ignores it, so
-/// replayed runs compare equal alarm for alarm.
+/// The `correlation_id` ties the alarm to its [`DecisionRecord`], flight
+/// window and telemetry events. It is forensic metadata: [`PartialEq`]
+/// ignores it, so replayed runs compare equal alarm for alarm.
 #[derive(Debug, Clone)]
 pub struct PipelineAlarm {
     /// The domain the fused decision belongs to.
@@ -268,8 +283,7 @@ impl PipelineBuilder {
 
     /// Overrides the worker-pool configuration for batch paths. The
     /// default is the first projection provider's parallel policy
-    /// (falling back to [`ParallelConfig::default`]), which is what the
-    /// legacy monitor used.
+    /// (falling back to [`ParallelConfig::default`]).
     pub fn parallel(mut self, parallel: ParallelConfig) -> Self {
         self.parallel = Some(parallel);
         self
@@ -625,8 +639,7 @@ impl DetectionPipeline {
         }
     }
 
-    /// Maps an evaluation failure to the defect the legacy monitor
-    /// attributed it to.
+    /// Maps an evaluation failure to the defect it is reported as.
     fn evaluation_defect(e: &TrustError) -> TraceDefect {
         match e {
             TrustError::Dsp(DspError::LengthMismatch { expected, actual }) => {
@@ -829,8 +842,8 @@ impl DetectionPipeline {
         Some(alarm)
     }
 
-    /// Emits the alarm telemetry event, shaped like the legacy
-    /// monitor's events for legacy-equivalent configurations.
+    /// Emits the alarm telemetry event: time-domain alarms carry the
+    /// distance and threshold, spectral alarms their strongest spot.
     fn emit_alarm_event(&self, alarm: &PipelineAlarm) {
         let primary = alarm
             .verdicts
@@ -1553,7 +1566,12 @@ mod tests {
         let mut bad = clean.clone();
         bad[10] = f64::NAN;
         let o = p.ingest_trace(&bad);
-        assert!(o.verdict.is_rejected());
+        assert!(matches!(
+            o.verdict,
+            TraceVerdict::Rejected {
+                reason: TraceDefect::NonFinite { .. }
+            }
+        ));
         assert!(o.votes.is_empty());
         assert_eq!(o.index, None);
         let o = p.ingest_trace(&clean[..100]);
@@ -1566,6 +1584,130 @@ mod tests {
         assert_eq!(p.traces_seen(), 1);
         assert_eq!(p.traces_rejected(), 2);
         assert_eq!(p.traces_ingested(), 3);
+        assert_eq!(p.alarm_rate(), 0.0);
+        assert!(p.alarms().is_empty());
+    }
+
+    fn sanitized_pipeline() -> DetectionPipeline {
+        let golden = synthetic_set(32, 1.0, 1);
+        let fp = GoldenFingerprint::fit(&golden, FingerprintConfig::default()).unwrap();
+        DetectionPipeline::builder()
+            .detector(Box::new(EuclideanDetector::new(fp)))
+            .sanitizer(TraceSanitizer::default())
+            .build()
+    }
+
+    #[test]
+    fn sanitized_batch_matches_serial_ingest() {
+        let mut traces = synthetic_set(4, 1.0, 2).traces().to_vec();
+        traces[1][0] = f64::INFINITY; // rejected
+        traces.push(synthetic_set(1, 1.5, 3).traces()[0].clone()); // alarms
+        let mut batched = sanitized_pipeline();
+        let batch = batched.ingest_batch(&traces);
+        assert_eq!(batch.outcomes.len(), 5);
+        assert_eq!(batch.rejected(), 1);
+        assert_eq!(batch.clean(), 4);
+        assert_eq!(batch.alarms.len(), 1);
+        let mut serial = sanitized_pipeline();
+        let outcomes: Vec<TraceOutcome> = traces.iter().map(|t| serial.ingest_trace(t)).collect();
+        assert_eq!(batch.outcomes, outcomes);
+        assert_eq!(batched.traces_seen(), serial.traces_seen());
+        assert_eq!(batched.alarms(), serial.alarms());
+    }
+
+    #[test]
+    fn sustained_rejections_degrade_sensor_health() {
+        let mut p = sanitized_pipeline();
+        let flat = vec![0.5; 256];
+        let states: Vec<SensorHealth> = (0..40).map(|_| p.ingest_trace(&flat).health).collect();
+        assert_eq!(p.health(), SensorHealth::SensorFault);
+        assert!(states.contains(&SensorHealth::Degraded));
+        assert_eq!(p.traces_rejected(), 40);
+        assert_eq!(p.traces_seen(), 0);
+    }
+
+    #[test]
+    fn sanitized_window_path_rejects_rate_mismatch_and_corruption() {
+        use crate::spectral::SpectralDetector;
+        let fs = 640e6;
+        // Tone incommensurate with the sample rate: like any real
+        // measurement, no two samples repeat the exact extreme value
+        // (a noiseless integer-period sine would trip the saturation
+        // screen, and rightly so — 128 bit-identical peaks).
+        let window = |rate: f64, corrupt: bool| {
+            let mut s: Vec<f64> = (0..4096)
+                .map(|i| (2.0 * std::f64::consts::PI * 10.1e6 * i as f64 / fs).sin())
+                .collect();
+            if corrupt {
+                s[7] = f64::NAN;
+            }
+            VoltageTrace::new(s, rate)
+        };
+        let det = SpectralDetector::fit(&window(fs, false), SpectralConfig::default()).unwrap();
+        let fp = GoldenFingerprint::fit(&synthetic_set(4, 1.0, 1), FingerprintConfig::default())
+            .unwrap();
+        let mut p = DetectionPipeline::builder()
+            .detector(Box::new(EuclideanDetector::new(fp)))
+            .detector(Box::new(SpectralWindowDetector::new(det)))
+            .sanitizer(TraceSanitizer::default())
+            .build();
+        // Clean window, matching rate: no alarm, no rejection.
+        let o = p.ingest_window(&window(fs, false));
+        assert!(o.verdict.is_clean());
+        assert!(o.alarm.is_none());
+        // Wrong sample rate is screened before the detector errors.
+        let o = p.ingest_window(&window(2.0 * fs, false));
+        assert!(matches!(
+            o.verdict,
+            TraceVerdict::Rejected {
+                reason: TraceDefect::SampleRateMismatch { .. }
+            }
+        ));
+        // Corrupted window is screened structurally.
+        assert!(p.ingest_window(&window(fs, true)).verdict.is_rejected());
+        assert_eq!(p.windows_rejected(), 2);
+        assert_eq!(p.windows_seen(), 1);
+        // The strict path errors on the rate mismatch instead.
+        assert!(p.try_ingest_window(&window(2.0 * fs, false)).is_err());
+    }
+
+    #[test]
+    fn pipeline_without_window_detector_ignores_windows() {
+        let mut p = euclidean_pipeline();
+        let o = p
+            .try_ingest_window(&VoltageTrace::new(vec![0.0; 1024], 640e6))
+            .unwrap();
+        assert!(o.votes.is_empty() && o.alarm.is_none() && o.index.is_none());
+        assert_eq!(p.windows_seen(), 0);
+    }
+
+    #[test]
+    fn correlation_ids_are_unique_and_monotonic_across_pipelines() {
+        let mut a = euclidean_pipeline();
+        let mut b = euclidean_pipeline();
+        let mut ids = Vec::new();
+        for seed in 0..3 {
+            for p in [&mut a, &mut b] {
+                let trojan = synthetic_set(1, 1.5, 40 + seed);
+                if let Some(alarm) = p.try_ingest_trace(&trojan.traces()[0]).unwrap().alarm {
+                    ids.push(alarm.correlation_id);
+                }
+            }
+        }
+        assert_eq!(ids.len(), 6);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids {ids:?}");
+    }
+
+    #[test]
+    fn alarm_equality_ignores_the_correlation_id() {
+        let alarm = |index, correlation_id| PipelineAlarm {
+            domain: DetectorDomain::PerEncryption,
+            index,
+            verdicts: Vec::new(),
+            correlation_id,
+        };
+        assert_eq!(alarm(1, 10), alarm(1, 99));
+        assert_ne!(alarm(1, 10), alarm(2, 10));
     }
 
     #[test]

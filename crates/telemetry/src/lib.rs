@@ -258,9 +258,7 @@ impl Drop for SpanGuard {
 /// Draws the next alarm correlation id: process-unique and strictly
 /// monotonic, starting at 1. Ids are forensic metadata — two runs of the
 /// same workload agree on every alarm *except* its correlation id, which
-/// is why [`Alarm` equality] in `emtrust` ignores it.
-///
-/// [`Alarm` equality]: https://docs.rs/emtrust
+/// is why `PipelineAlarm` equality in `emtrust` ignores it.
 pub fn next_correlation_id() -> u64 {
     CORRELATION.fetch_add(1, Ordering::Relaxed)
 }

@@ -3,7 +3,7 @@
 
 use emtrust::acquisition::{Stimulus, TestBench};
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
-use emtrust::monitor::{Alarm, TrustMonitor};
+use emtrust::{DetectionPipeline, EuclideanDetector};
 use emtrust_silicon::Channel;
 use emtrust_trojan::{ProtectedChip, TrojanKind};
 
@@ -19,14 +19,20 @@ fn trojan_is_caught_at_runtime_through_the_onchip_sensor() {
         .collect_with(KEY, STIMULUS, 16, None, Channel::OnChipSensor, 11)
         .expect("golden traces");
     let fp = GoldenFingerprint::fit(&golden, FingerprintConfig::default()).expect("fingerprint");
-    let mut monitor = TrustMonitor::builder(fp).build();
+    let mut pipeline = DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp)))
+        .build();
 
     // Healthy operation: no alarms.
     let clean = bench
         .collect_with(KEY, STIMULUS, 6, None, Channel::OnChipSensor, 12)
         .expect("clean traces");
     for t in clean.traces() {
-        assert!(monitor.ingest_trace(t).expect("ingest").is_none());
+        assert!(pipeline
+            .try_ingest_trace(t)
+            .expect("ingest")
+            .alarm
+            .is_none());
     }
 
     // Trojan activates.
@@ -42,18 +48,14 @@ fn trojan_is_caught_at_runtime_through_the_onchip_sensor() {
         .expect("infected traces");
     let mut alarms = 0;
     for t in infected.traces() {
-        if let Some(Alarm::TimeDomain {
-            distance,
-            threshold,
-            ..
-        }) = monitor.ingest_trace(t).expect("ingest")
-        {
-            assert!(distance > threshold);
+        if let Some(alarm) = pipeline.try_ingest_trace(t).expect("ingest").alarm {
+            let distance = &alarm.verdicts[0].score;
+            assert!(distance.statistic > distance.threshold);
             alarms += 1;
         }
     }
     assert_eq!(alarms, 6, "every Trojan-active trace must alarm");
-    assert!((monitor.alarm_rate() - 0.5).abs() < 1e-9);
+    assert!((pipeline.alarm_rate() - 0.5).abs() < 1e-9);
 }
 
 #[test]

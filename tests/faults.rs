@@ -2,17 +2,16 @@
 //! path. The properties under test are the robustness contract of the
 //! fault/sanitize/health stack, not detection quality:
 //!
-//! - no fault plan, at any intensity or composition, panics the monitor;
+//! - no fault plan, at any intensity or composition, panics the pipeline;
 //! - every ingested trace is accounted for (clean + degraded + rejected);
-//! - fault realizations and monitor outcomes replay bit-identically;
+//! - fault realizations and pipeline outcomes replay bit-identically;
 //! - sensor-health transitions only ever step to adjacent states.
 
 use emtrust::faults::{FaultKind, FaultPlan, FaultSpec};
 use emtrust::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use emtrust::health::SensorHealth;
-use emtrust::monitor::TrustMonitor;
 use emtrust::sanitize::{TraceDefect, TraceSanitizer, TraceVerdict};
-use emtrust::TraceSet;
+use emtrust::{DetectionPipeline, EuclideanDetector, TraceSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,11 +32,12 @@ fn clean_traces(n: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn fitted_monitor() -> TrustMonitor {
+fn fitted_pipeline() -> DetectionPipeline {
     let golden = TraceSet::new(clean_traces(32, 1), 640e6).expect("golden set");
     let fp = GoldenFingerprint::fit(&golden, FingerprintConfig::default()).expect("fit");
-    TrustMonitor::builder(fp)
-        .with_sanitizer(TraceSanitizer::default())
+    DetectionPipeline::builder()
+        .detector(Box::new(EuclideanDetector::new(fp)))
+        .sanitizer(TraceSanitizer::default())
         .build()
 }
 
@@ -88,45 +88,45 @@ proptest! {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
 
-        let mut monitor = fitted_monitor();
-        let batch = monitor.ingest_batch_report(&traces);
+        let mut pipeline = fitted_pipeline();
+        let batch = pipeline.ingest_batch(&traces);
 
         // 100 % accounting: every trace is exactly one of the three.
-        prop_assert_eq!(batch.reports.len(), N_TRACES);
+        prop_assert_eq!(batch.outcomes.len(), N_TRACES);
         prop_assert_eq!(batch.clean() + batch.degraded() + batch.rejected(), N_TRACES);
         prop_assert_eq!(
-            monitor.traces_seen() + monitor.traces_rejected(),
+            pipeline.traces_seen() + pipeline.traces_rejected(),
             N_TRACES as u64
         );
-        prop_assert_eq!(monitor.traces_rejected(), batch.rejected() as u64);
+        prop_assert_eq!(pipeline.traces_rejected(), batch.rejected() as u64);
 
         // Health transitions only ever step to adjacent states.
-        for t in monitor.health_tracker().transitions() {
+        for t in pipeline.health_tracker().transitions() {
             prop_assert!(adjacent(t.from, t.to), "jump {:?} -> {:?}", t.from, t.to);
         }
 
-        // The whole monitor outcome replays bit-identically.
-        let mut second = fitted_monitor();
-        let batch2 = second.ingest_batch_report(&replay);
-        prop_assert_eq!(batch.reports, batch2.reports);
-        prop_assert_eq!(monitor.alarms(), second.alarms());
-        prop_assert_eq!(monitor.health(), second.health());
+        // The whole pipeline outcome replays bit-identically.
+        let mut second = fitted_pipeline();
+        let batch2 = second.ingest_batch(&replay);
+        prop_assert_eq!(batch.outcomes, batch2.outcomes);
+        prop_assert_eq!(pipeline.alarms(), second.alarms());
+        prop_assert_eq!(pipeline.health(), second.health());
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-    /// `ingest_batch_report` rejected accounting: however a batch mixes
+    /// Sanitized `ingest_batch` rejected accounting: however a batch mixes
     /// clean traces with unconditionally-rejectable ones (NaN bodies,
     /// empty traces), `rejected()` counts exactly the bad ones and the
-    /// monitor's cumulative counters agree across batches.
+    /// pipeline's cumulative counters agree across batches.
     #[test]
     fn rejected_accounting_is_exact_under_mixed_batches(
         seed in 0u64..u64::MAX,
         n_batches in 1usize..5,
     ) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBADACC);
-        let mut monitor = fitted_monitor();
+        let mut pipeline = fitted_pipeline();
         let mut expected_rejected = 0u64;
         let mut expected_total = 0u64;
         for batch_no in 0..n_batches {
@@ -143,8 +143,8 @@ proptest! {
                     }
                 }
             }
-            let report = monitor.ingest_batch_report(&traces);
-            prop_assert_eq!(report.reports.len(), n);
+            let report = pipeline.ingest_batch(&traces);
+            prop_assert_eq!(report.outcomes.len(), n);
             prop_assert!(report.rejected() >= bad_here, "bad traces must be rejected");
             prop_assert_eq!(
                 report.clean() + report.degraded() + report.rejected(),
@@ -152,9 +152,9 @@ proptest! {
             );
             expected_rejected += report.rejected() as u64;
             expected_total += n as u64;
-            prop_assert_eq!(monitor.traces_rejected(), expected_rejected);
+            prop_assert_eq!(pipeline.traces_rejected(), expected_rejected);
             prop_assert_eq!(
-                monitor.traces_seen() + monitor.traces_rejected(),
+                pipeline.traces_seen() + pipeline.traces_rejected(),
                 expected_total
             );
         }
@@ -170,30 +170,30 @@ proptest! {
         phases in 2usize..8,
     ) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5701A);
-        let mut monitor = fitted_monitor();
-        let mut seen = vec![monitor.health()];
+        let mut pipeline = fitted_pipeline();
+        let mut seen = vec![pipeline.health()];
         for phase in 0..phases {
             let poisoned = phase % 2 == 0;
             let len = rng.gen_range(1..24usize);
             if poisoned {
                 for _ in 0..len {
-                    seen.push(monitor.ingest_checked(&[f64::NAN; 16]).health);
+                    seen.push(pipeline.ingest_trace(&[f64::NAN; 16]).health);
                 }
                 prop_assert_eq!(
-                    monitor.health_tracker().consecutive_rejections(),
+                    pipeline.health_tracker().consecutive_rejections(),
                     len as u64
                 );
             } else {
                 for t in clean_traces(len, seed ^ phase as u64) {
-                    seen.push(monitor.ingest_checked(&t).health);
+                    seen.push(pipeline.ingest_trace(&t).health);
                 }
-                prop_assert_eq!(monitor.health_tracker().consecutive_rejections(), 0);
+                prop_assert_eq!(pipeline.health_tracker().consecutive_rejections(), 0);
             }
         }
         for w in seen.windows(2) {
             prop_assert!(adjacent(w[0], w[1]), "jump {:?} -> {:?}", w[0], w[1]);
         }
-        for t in monitor.health_tracker().transitions() {
+        for t in pipeline.health_tracker().transitions() {
             prop_assert!(adjacent(t.from, t.to), "jump {:?} -> {:?}", t.from, t.to);
         }
     }
@@ -204,8 +204,8 @@ fn every_fault_kind_at_full_intensity_is_survived() {
     for kind in FaultKind::ALL {
         let plan = FaultPlan::single(9, kind, 1.0);
         let traces = corrupt(&plan, 3);
-        let mut monitor = fitted_monitor();
-        let batch = monitor.ingest_batch_report(&traces);
+        let mut pipeline = fitted_pipeline();
+        let batch = pipeline.ingest_batch(&traces);
         assert_eq!(
             batch.clean() + batch.degraded() + batch.rejected(),
             N_TRACES,
@@ -219,10 +219,10 @@ fn every_fault_kind_at_full_intensity_is_survived() {
 fn nan_corruption_is_rejected_as_non_finite() {
     let plan = FaultPlan::single(4, FaultKind::NanCorruption, 0.5);
     let traces = corrupt(&plan, 5);
-    let mut monitor = fitted_monitor();
-    let batch = monitor.ingest_batch_report(&traces);
+    let mut pipeline = fitted_pipeline();
+    let batch = pipeline.ingest_batch(&traces);
     assert_eq!(batch.rejected(), N_TRACES);
-    for r in &batch.reports {
+    for r in &batch.outcomes {
         assert!(matches!(
             r.verdict,
             TraceVerdict::Rejected {
@@ -230,23 +230,23 @@ fn nan_corruption_is_rejected_as_non_finite() {
             }
         ));
     }
-    assert!(monitor.alarms().is_empty());
+    assert!(pipeline.alarms().is_empty());
 }
 
 #[test]
 fn sustained_flatline_walks_health_down_and_recovery_walks_it_back() {
-    let mut monitor = fitted_monitor();
+    let mut pipeline = fitted_pipeline();
     let flat = vec![0.25; TRACE_LEN];
-    let mut seen = vec![monitor.health()];
+    let mut seen = vec![pipeline.health()];
     for _ in 0..32 {
-        seen.push(monitor.ingest_checked(&flat).health);
+        seen.push(pipeline.ingest_trace(&flat).health);
     }
-    assert_eq!(monitor.health(), SensorHealth::SensorFault);
+    assert_eq!(pipeline.health(), SensorHealth::SensorFault);
     assert!(seen.contains(&SensorHealth::Degraded));
     for t in clean_traces(64, 6) {
-        seen.push(monitor.ingest_checked(&t).health);
+        seen.push(pipeline.ingest_trace(&t).health);
     }
-    assert_eq!(monitor.health(), SensorHealth::Healthy);
+    assert_eq!(pipeline.health(), SensorHealth::Healthy);
     for w in seen.windows(2) {
         assert!(adjacent(w[0], w[1]), "jump {:?} -> {:?}", w[0], w[1]);
     }
@@ -257,12 +257,12 @@ fn per_trace_failures_do_not_abort_the_batch() {
     let mut traces = clean_traces(5, 7);
     traces[2] = vec![f64::NAN; TRACE_LEN];
     traces[4] = vec![]; // empty trace
-    let mut monitor = fitted_monitor();
-    let batch = monitor.ingest_batch_report(&traces);
-    assert_eq!(batch.reports.len(), 5);
+    let mut pipeline = fitted_pipeline();
+    let batch = pipeline.ingest_batch(&traces);
+    assert_eq!(batch.outcomes.len(), 5);
     assert_eq!(batch.rejected(), 2);
     assert_eq!(batch.clean(), 3);
-    assert!(batch.reports[2].verdict.is_rejected());
-    assert!(batch.reports[4].verdict.is_rejected());
-    assert_eq!(monitor.traces_seen(), 3);
+    assert!(batch.outcomes[2].verdict.is_rejected());
+    assert!(batch.outcomes[4].verdict.is_rejected());
+    assert_eq!(pipeline.traces_seen(), 3);
 }
