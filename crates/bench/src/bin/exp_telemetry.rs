@@ -287,21 +287,16 @@ fn main() {
         .filter(|r| r.fused_alarm)
         .map(|r| format!("    {}", r.to_json()))
         .collect();
-    let labeled_series: usize = forensic_snapshot
-        .labeled_counters
+    // Series carrying at least one label, across every metric family.
+    let snap = &forensic_snapshot;
+    let labeled_series = snap
+        .counters
         .values()
-        .map(|f| f.len())
-        .sum::<usize>()
-        + forensic_snapshot
-            .labeled_gauges
-            .values()
-            .map(|f| f.len())
-            .sum::<usize>()
-        + forensic_snapshot
-            .labeled_histograms
-            .values()
-            .map(|f| f.len())
-            .sum::<usize>();
+        .flat_map(|f| f.keys())
+        .chain(snap.gauges.values().flat_map(|f| f.keys()))
+        .chain(snap.histograms.values().flat_map(|f| f.keys()))
+        .filter(|labels| !labels.is_empty())
+        .count();
     let doc = ArtifactDoc::new("telemetry_table1_sweep")
         .field_u64("n_golden", N_GOLDEN as u64)
         .field_u64("n_suspect_per_trojan", N_SUSPECT_PER_TROJAN as u64)

@@ -229,24 +229,6 @@ impl GoldenFingerprint {
             .try_map(traces.len(), |i| self.evaluate(&traces[i]))
     }
 
-    /// Evaluates a batch of traces, reporting each trace's outcome
-    /// individually instead of aborting on the first failure, so one
-    /// corrupted trace cannot shadow the verdicts of its batch-mates.
-    pub fn evaluate_each<T: AsRef<[f64]> + Sync>(
-        &self,
-        traces: &[T],
-    ) -> Vec<Result<Verdict, TrustError>> {
-        let _span = telemetry::span("evaluate_each");
-        let wrapped: Result<Vec<_>, std::convert::Infallible> = self
-            .config
-            .parallel
-            .try_map(traces.len(), |i| Ok(self.evaluate(traces[i].as_ref())));
-        match wrapped {
-            Ok(v) => v,
-            Err(never) => match never {},
-        }
-    }
-
     /// Distances of every trace in a set to the golden centroid, fanned
     /// across the configured worker pool (trace order preserved).
     ///

@@ -185,7 +185,6 @@ impl HealthTracker {
                 to: next,
             };
             self.transitions.push(transition);
-            telemetry::counter("monitor.health_transitions", 1);
             telemetry::event(
                 "sensor_health",
                 &[

@@ -51,7 +51,7 @@ use crate::detector::{
 use crate::features::FeatureFrame;
 use crate::fingerprint::{FingerprintConfig, GoldenFingerprint};
 use crate::fusion::FusionPolicy;
-use crate::health::{HealthConfig, HealthTracker, SensorHealth};
+use crate::health::{HealthConfig, HealthTracker, HealthTransition, SensorHealth};
 use crate::learned::{LearnedConfig, LearnedDetector};
 use crate::parallel::ParallelConfig;
 use crate::persistence::{PersistenceConfig, SpectralPersistenceDetector};
@@ -373,6 +373,12 @@ impl PipelineForensics {
     }
 }
 
+/// The `(from, to)` labels a decision record carries for a health
+/// transition.
+fn transition_labels(t: HealthTransition) -> (String, String) {
+    (t.from.label().to_string(), t.to.label().to_string())
+}
+
 /// One trace after the pure (parallel-safe) stages: screened,
 /// featurized, and scored. [`DetectionPipeline::absorb_trace`] turns it
 /// into a [`TraceOutcome`] serially.
@@ -402,7 +408,7 @@ pub struct DetectionPipeline {
     self_calibrating: bool,
     /// Health transition captured by the checked window path for the
     /// decision record the subsequent scoring pass emits.
-    pending_window_transition: Option<(String, String)>,
+    pending_window_transition: Option<HealthTransition>,
     traces_seen: u64,
     traces_rejected: u64,
     traces_degraded: u64,
@@ -659,10 +665,7 @@ impl DetectionPipeline {
     /// Books one rejected trace.
     fn record_rejected(&mut self, reason: &TraceDefect) {
         self.traces_rejected += 1;
-        telemetry::counter("monitor.trace_rejects", 1);
-        if !self.labels.is_empty() {
-            telemetry::counter_with("monitor.trace_rejects", &self.labels, 1);
-        }
+        telemetry::counter_with("monitor.trace_rejects", &self.labels, 1);
         telemetry::event(
             "trace_rejected",
             &[("reason", FieldValue::from(reason.label()))],
@@ -672,10 +675,7 @@ impl DetectionPipeline {
     /// Books one rejected continuous window.
     fn record_window_rejected(&mut self, reason: &TraceDefect) {
         self.windows_rejected += 1;
-        telemetry::counter("monitor.window_rejects", 1);
-        if !self.labels.is_empty() {
-            telemetry::counter_with("monitor.window_rejects", &self.labels, 1);
-        }
+        telemetry::counter_with("monitor.window_rejects", &self.labels, 1);
         telemetry::event(
             "window_rejected",
             &[("reason", FieldValue::from(reason.label()))],
@@ -739,13 +739,9 @@ impl DetectionPipeline {
         rec
     }
 
-    /// Emits the labeled per-detector margin series for one scored
-    /// observation (only when identity labels are set — unlabeled
-    /// pipelines keep the legacy exposition byte-compatible).
-    fn emit_labeled_votes(&self, domain: DetectorDomain, decisions: &[DetectorDecision]) {
-        if self.labels.is_empty() {
-            return;
-        }
+    /// Emits the per-detector margin series (identity labels plus
+    /// `detector`) for one scored observation.
+    fn emit_margins(&self, domain: DetectorDomain, decisions: &[DetectorDecision]) {
         let per_detector = match domain {
             DetectorDomain::PerEncryption => &self.trace_detector_labels,
             DetectorDomain::ContinuousWindow => &self.window_detector_labels,
@@ -760,9 +756,6 @@ impl DetectionPipeline {
     /// recorder (when enabled).
     fn commit_decision(&mut self, mut rec: DecisionRecord) {
         rec.health = self.health.state().label().to_string();
-        if rec.health_transition.is_some() && !self.labels.is_empty() {
-            telemetry::counter_with("monitor.health_transitions", &self.labels, 1);
-        }
         telemetry::decision(&rec);
         if let Some(f) = &mut self.forensics {
             f.flight.record(&rec);
@@ -774,16 +767,16 @@ impl DetectionPipeline {
         }
     }
 
-    /// Captures the `(from, to)` labels of a health transition that
-    /// happened between `transitions_before` and now.
-    fn transition_since(&self, transitions_before: usize) -> Option<(String, String)> {
-        if self.health.transitions().len() > transitions_before {
-            self.health
-                .last_transition()
-                .map(|t| (t.from.label().to_string(), t.to.label().to_string()))
-        } else {
-            None
+    /// Feeds one observation to the health tracker and counts the
+    /// transition it caused, if any.
+    fn observe_health(&mut self, rejected: bool) -> (SensorHealth, Option<HealthTransition>) {
+        let before = self.health.transitions().len();
+        let health = self.health.observe(rejected);
+        let transition = self.health.transitions().get(before).copied();
+        if transition.is_some() {
+            telemetry::counter_with("monitor.health_transitions", &self.labels, 1);
         }
+        (health, transition)
     }
 
     /// Collects the per-detector votes of one domain for a score list.
@@ -833,10 +826,7 @@ impl DetectionPipeline {
             verdicts: votes.to_vec(),
             correlation_id: telemetry::next_correlation_id(),
         };
-        telemetry::counter("monitor.alarms", 1);
-        if !self.labels.is_empty() {
-            telemetry::counter_with("monitor.alarms", &self.labels, 1);
-        }
+        telemetry::counter_with("monitor.alarms", &self.labels, 1);
         self.emit_alarm_event(&alarm);
         self.alarms.push(alarm.clone());
         Some(alarm)
@@ -910,12 +900,9 @@ impl DetectionPipeline {
     ) {
         let index = self.traces_seen;
         self.traces_seen += 1;
-        telemetry::counter("monitor.traces", 1);
-        if !self.labels.is_empty() {
-            telemetry::counter_with("monitor.traces", &self.labels, 1);
-        }
+        telemetry::counter_with("monitor.traces", &self.labels, 1);
         if let Some(s) = scores.first() {
-            telemetry::observe("monitor.distance", s.statistic);
+            telemetry::observe_with("monitor.distance", &self.labels, s.statistic);
         }
         let votes = self.votes_for(DetectorDomain::PerEncryption, &scores);
         let digest = self
@@ -925,7 +912,7 @@ impl DetectionPipeline {
         let alarm = self.fuse(DetectorDomain::PerEncryption, index, &votes);
         let rec = digest.map(|digest| {
             let rec = self.scored_decision("trace", index, &votes, alarm.as_ref(), digest);
-            self.emit_labeled_votes(DetectorDomain::PerEncryption, &rec.detectors);
+            self.emit_margins(DetectorDomain::PerEncryption, &rec.detectors);
             rec
         });
         (index, votes, alarm, rec)
@@ -952,7 +939,7 @@ impl DetectionPipeline {
             (v, Some(Ok((frame, scores)))) => {
                 if v.is_degraded() {
                     self.traces_degraded += 1;
-                    telemetry::counter("monitor.trace_degraded", 1);
+                    telemetry::counter_with("monitor.trace_degraded", &self.labels, 1);
                 }
                 let (index, votes, alarm, mut rec) = self.settle_scored(&frame, scores);
                 if let Some(r) = &mut rec {
@@ -991,10 +978,9 @@ impl DetectionPipeline {
                 )
             }
         };
-        let transitions_before = self.health.transitions().len();
-        let health = self.health.observe(verdict.is_rejected());
+        let (health, transition) = self.observe_health(verdict.is_rejected());
         if let Some(mut rec) = rec {
-            rec.health_transition = self.transition_since(transitions_before);
+            rec.health_transition = transition.map(transition_labels);
             self.commit_decision(rec);
         }
         TraceOutcome {
@@ -1170,10 +1156,7 @@ impl DetectionPipeline {
             .collect::<Result<Vec<_>, _>>()?;
         let index = self.windows_seen;
         self.windows_seen += 1;
-        telemetry::counter("monitor.windows", 1);
-        if !self.labels.is_empty() {
-            telemetry::counter_with("monitor.windows", &self.labels, 1);
-        }
+        telemetry::counter_with("monitor.windows", &self.labels, 1);
         let votes = self.votes_for(DetectorDomain::ContinuousWindow, &scores);
         let digest = self
             .forensics_active()
@@ -1182,8 +1165,8 @@ impl DetectionPipeline {
         let alarm = self.fuse(DetectorDomain::ContinuousWindow, index, &votes);
         if let Some(digest) = digest {
             let mut rec = self.scored_decision("window", index, &votes, alarm.as_ref(), digest);
-            self.emit_labeled_votes(DetectorDomain::ContinuousWindow, &rec.detectors);
-            rec.health_transition = self.pending_window_transition.take();
+            self.emit_margins(DetectorDomain::ContinuousWindow, &rec.detectors);
+            rec.health_transition = self.pending_window_transition.take().map(transition_labels);
             self.commit_decision(rec);
         }
         Ok(Some(WindowOutcome {
@@ -1205,11 +1188,10 @@ impl DetectionPipeline {
         if let TraceVerdict::Rejected { reason } = &verdict {
             let reason = *reason;
             self.record_window_rejected(&reason);
-            let transitions_before = self.health.transitions().len();
-            let health = self.health.observe(true);
+            let (health, transition) = self.observe_health(true);
             if self.forensics_active() {
                 let mut rec = self.rejected_decision("window", &reason);
-                rec.health_transition = self.transition_since(transitions_before);
+                rec.health_transition = transition.map(transition_labels);
                 self.commit_decision(rec);
             }
             return WindowOutcome {
@@ -1220,9 +1202,8 @@ impl DetectionPipeline {
                 health,
             };
         }
-        let transitions_before = self.health.transitions().len();
-        let health = self.health.observe(false);
-        self.pending_window_transition = self.transition_since(transitions_before);
+        let (health, transition) = self.observe_health(false);
+        self.pending_window_transition = transition;
         match self.window_pass(window) {
             Ok(Some(mut outcome)) => {
                 outcome.verdict = verdict;
@@ -1247,7 +1228,8 @@ impl DetectionPipeline {
                 self.record_window_rejected(&reason);
                 if self.forensics_active() {
                     let mut rec = self.rejected_decision("window", &reason);
-                    rec.health_transition = self.pending_window_transition.take();
+                    rec.health_transition =
+                        self.pending_window_transition.take().map(transition_labels);
                     self.commit_decision(rec);
                 }
                 WindowOutcome {

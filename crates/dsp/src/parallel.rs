@@ -13,7 +13,7 @@
 //! (whole EM traces, blocks of distance pairs) makes pool reuse overhead
 //! irrelevant.
 
-use emtrust_telemetry as telemetry;
+use emtrust_telemetry::{self as telemetry, LabelSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -63,16 +63,24 @@ where
     if n_items == 0 {
         return Ok(Vec::new());
     }
+    let n_threads = workers.min(n_chunks);
     // Per-worker chunk timing: when a recorder is installed, every chunk
-    // records its wall time under `pool.worker.<w>.chunk_ns` (the inline
-    // degenerate pool is worker 0). Disabled cost: one atomic load.
-    let run_chunk = |worker: usize, lo: usize, hi: usize| {
-        if telemetry::is_enabled() {
+    // records its wall time in `pool.chunk_ns` under its `worker` label
+    // (the inline degenerate pool is worker 0). Disabled cost: one atomic
+    // load per call, and no label set is built.
+    let worker_labels: Vec<LabelSet> = if telemetry::is_enabled() {
+        (0..n_threads)
+            .map(|w| LabelSet::new().with("worker", w.to_string()))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let run_chunk = |worker: usize, lo: usize, hi: usize| match worker_labels.get(worker) {
+        Some(labels) => {
             telemetry::counter("pool.chunks", 1);
-            telemetry::time(&format!("pool.worker.{worker}.chunk_ns"), || f(lo..hi))
-        } else {
-            f(lo..hi)
+            telemetry::time("pool.chunk_ns", labels, || f(lo..hi))
         }
+        None => f(lo..hi),
     };
     if workers == 1 || n_chunks == 1 {
         // Degenerate pool: run inline, chunk by chunk, same chunk layout.
@@ -89,7 +97,6 @@ where
     let cursor = AtomicUsize::new(0);
     // (chunk index, chunk output) pairs, pushed in completion order.
     let done: Mutex<Vec<ChunkSlot<R, E>>> = Mutex::new(Vec::with_capacity(n_chunks));
-    let n_threads = workers.min(n_chunks);
     std::thread::scope(|scope| {
         for w in 0..n_threads {
             let (run_chunk, cursor, done) = (&run_chunk, &cursor, &done);

@@ -22,7 +22,7 @@ use std::collections::{HashMap, VecDeque};
 use emtrust::telemetry::LabelSet;
 use emtrust::{
     BaselineSource, DetectionPipeline, EuclideanDetector, FingerprintConfig, GoldenFingerprint,
-    SelfCalibratingConfig, SensorHealth, TraceSanitizer, TraceSet,
+    ParallelConfig, SelfCalibratingConfig, SensorHealth, TraceSanitizer, TraceSet,
 };
 
 use crate::config::{BaselineMode, StoreConfig};
@@ -413,7 +413,10 @@ fn push_baseline(baseline: &mut VecDeque<Vec<f64>>, trace: &[f64], window: usize
 
 /// Fits a golden fingerprint from the baseline and wraps it in a fresh
 /// per-chip pipeline. PCA is disabled: fleet-scale per-chip fits trade
-/// the projection's compaction for constant-time cold starts.
+/// the projection's compaction for constant-time cold starts. The fit
+/// runs inline: the service is already thread-per-shard, and a pool per
+/// small re-fit only adds thread spawns (results are bit-identical for
+/// every worker count).
 fn build_pipeline(
     baseline: &VecDeque<Vec<f64>>,
     labels: LabelSet,
@@ -422,6 +425,7 @@ fn build_pipeline(
     let config = FingerprintConfig {
         pca_components: None,
         threshold_margin: 1.25,
+        parallel: ParallelConfig::serial(),
         ..FingerprintConfig::default()
     };
     let fingerprint = GoldenFingerprint::fit(&golden, config)?;
@@ -434,7 +438,8 @@ fn build_pipeline(
 
 /// Wraps a self-calibrating Euclidean detector in a fresh per-chip
 /// pipeline: the rolling baseline arms after `warmup` live traces and
-/// no golden material is ever consulted.
+/// no golden material is ever consulted. Runs inline, like
+/// [`build_pipeline`].
 fn build_selfcal_pipeline(
     warmup: usize,
     labels: LabelSet,
@@ -445,7 +450,10 @@ fn build_selfcal_pipeline(
     };
     let mut pipeline = DetectionPipeline::builder()
         .detector(Box::new(EuclideanDetector::from_config(
-            FingerprintConfig::default(),
+            FingerprintConfig {
+                parallel: ParallelConfig::serial(),
+                ..FingerprintConfig::default()
+            },
         )))
         .sanitizer(TraceSanitizer::default())
         .labels(labels)
@@ -554,6 +562,9 @@ mod tests {
         assert_eq!(out.scored, 1);
         assert_eq!(out.warmup, 0);
         assert_eq!(s.refits(), 1);
+        // The re-fit runs inline on the shard's thread.
+        let revived = s.hot.get("a").and_then(|e| e.pipeline.as_ref()).unwrap();
+        assert_eq!(revived.parallel().workers, 1);
         // Its cumulative stats survived the round-trip.
         let stats = s.chip_stats();
         let a = stats.iter().find(|(id, _)| id == "a").unwrap();

@@ -36,9 +36,10 @@ impl LabelSet {
     /// Hard bound on pairs per set; inserts beyond it are ignored.
     pub const MAX_PAIRS: usize = 8;
 
-    /// The empty label set (renders as no labels at all).
-    pub fn new() -> Self {
-        Self::default()
+    /// The empty label set (renders as no labels at all): the series
+    /// an unlabeled metric update lands in.
+    pub const fn new() -> Self {
+        Self { pairs: Vec::new() }
     }
 
     /// Builds a set from `(key, value)` pairs; sorts, deduplicates

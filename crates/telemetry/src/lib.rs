@@ -22,7 +22,9 @@
 //! - [`recorder`] — the [`Recorder`] trait every backend implements, and
 //!   the zero-cost [`NullRecorder`] default;
 //! - [`registry`] — [`InMemoryRecorder`], lock-free atomic counters /
-//!   gauges / histograms plus a bounded structured-event log;
+//!   gauges / histograms plus a bounded structured-event log. Every
+//!   metric is a family of series keyed by [`LabelSet`]; an unlabeled
+//!   metric is the series under the empty set;
 //! - [`clock`] — the injectable [`Clock`]; [`ManualClock`] keeps recorded
 //!   runs deterministic (no [`std::time::Instant`] ever reaches a
 //!   recorded value);
@@ -41,12 +43,15 @@
 //!
 //! let registry = Arc::new(telemetry::InMemoryRecorder::new());
 //! telemetry::install(registry.clone());
+//! let chip = telemetry::LabelSet::new().with("chip_id", "c0");
 //! {
 //!     let _span = telemetry::span("fit");
 //!     telemetry::counter("traces", 32);
+//!     telemetry::counter_with("traces", &chip, 8);
 //! }
 //! let snap = registry.snapshot();
-//! assert_eq!(snap.counters["traces"], 32);
+//! assert_eq!(snap.counters["traces"][&telemetry::LabelSet::new()], 32);
+//! assert_eq!(snap.counters["traces"][&chip], 8);
 //! assert_eq!(snap.spans["fit"].count, 1);
 //! telemetry::uninstall();
 //! ```
@@ -132,22 +137,22 @@ pub fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
     }
 }
 
-/// Adds `delta` to the counter `name` on the installed recorder.
+/// Adds `delta` to the unlabeled series of counter `name`.
 #[inline]
 pub fn counter(name: &str, delta: u64) {
-    with_recorder(|r| r.counter(name, delta));
+    counter_with(name, &LabelSet::new(), delta);
 }
 
-/// Sets the gauge `name` on the installed recorder.
+/// Sets the unlabeled series of gauge `name`.
 #[inline]
 pub fn gauge(name: &str, value: f64) {
-    with_recorder(|r| r.gauge(name, value));
+    gauge_with(name, &LabelSet::new(), value);
 }
 
-/// Records one distribution sample on the installed recorder.
+/// Records one sample in the unlabeled series of distribution `name`.
 #[inline]
 pub fn observe(name: &str, value: f64) {
-    with_recorder(|r| r.observe(name, value));
+    observe_with(name, &LabelSet::new(), value);
 }
 
 /// Records a structured event on the installed recorder.
@@ -181,17 +186,18 @@ pub fn decision(record: &DecisionRecord) {
 }
 
 /// Times `f` with the recorder's clock and records the elapsed
-/// nanoseconds as a sample of the distribution `name`. Unlike [`span`],
-/// the name may be dynamic (per-worker pool timings) and does not join
-/// the hierarchical span stack. Runs `f` untimed when disabled.
+/// nanoseconds as a sample of the distribution series `name`/`labels`.
+/// Unlike [`span`], the series is not part of the hierarchical span
+/// stack (per-worker pool timings carry a `worker` label). Runs `f`
+/// untimed when disabled.
 #[inline]
-pub fn time<R>(name: &str, f: impl FnOnce() -> R) -> R {
+pub fn time<R>(name: &str, labels: &LabelSet, f: impl FnOnce() -> R) -> R {
     match current() {
         Some(r) => {
             let t0 = r.clock().now_ns();
             let out = f();
             let elapsed = r.clock().now_ns().saturating_sub(t0);
-            r.observe(name, elapsed as f64);
+            r.observe_with(name, labels, elapsed as f64);
             out
         }
         None => f(),
@@ -288,7 +294,7 @@ mod tests {
         observe("x", 1.0);
         event("x", &[]);
         let _s = span("x");
-        assert_eq!(time("x", || 41 + 1), 42);
+        assert_eq!(time("x", &LabelSet::new(), || 41 + 1), 42);
     }
 
     #[test]
@@ -299,16 +305,18 @@ mod tests {
         counter("c", 2);
         gauge("g", 3.5);
         observe("h", 7.0);
-        let got = time("timed", || 5);
+        let worker = LabelSet::from_pairs([("worker", "0")]);
+        let got = time("timed", &worker, || 5);
         assert_eq!(got, 5);
         event("mark", &[("i", FieldValue::U64(9))]);
         uninstall();
         let snap = reg.snapshot();
-        assert_eq!(snap.counters["c"], 2);
-        assert_eq!(snap.gauges["g"], 3.5);
-        assert_eq!(snap.histograms["h"].count, 1);
-        assert_eq!(snap.histograms["timed"].count, 1);
-        assert_eq!(snap.histograms["timed"].sum, 50.0);
+        let none = LabelSet::new();
+        assert_eq!(snap.counters["c"][&none], 2);
+        assert_eq!(snap.gauges["g"][&none], 3.5);
+        assert_eq!(snap.histograms["h"][&none].count, 1);
+        assert_eq!(snap.histograms["timed"][&worker].count, 1);
+        assert_eq!(snap.histograms["timed"][&worker].sum, 50.0);
         assert_eq!(reg.events().len(), 1);
     }
 
@@ -374,15 +382,15 @@ mod tests {
         decision(&rec);
         uninstall();
         let snap = reg.snapshot();
-        assert_eq!(snap.labeled_counters["fleet.traces"][&labels], 2);
-        assert_eq!(snap.labeled_gauges["fleet.threshold"][&labels], 0.5);
-        assert_eq!(snap.labeled_histograms["fleet.margin"][&labels].count, 1);
+        assert_eq!(snap.counters["fleet.traces"][&labels], 2);
+        assert_eq!(snap.gauges["fleet.threshold"][&labels], 0.5);
+        assert_eq!(snap.histograms["fleet.margin"][&labels].count, 1);
         assert_eq!(reg.decisions().len(), 1);
         assert_eq!(reg.decisions()[0].labels, labels);
         // Disabled: the same helpers are no-ops.
         counter_with("fleet.traces", &labels, 7);
         decision(&rec);
-        assert_eq!(reg.snapshot().labeled_counters["fleet.traces"][&labels], 2);
+        assert_eq!(reg.snapshot().counters["fleet.traces"][&labels], 2);
     }
 
     #[test]

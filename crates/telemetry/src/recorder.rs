@@ -36,24 +36,31 @@ impl From<&str> for FieldValue {
 /// A telemetry backend: receives counters, gauges, distribution samples,
 /// completed timing spans, and structured events from the pipeline.
 ///
+/// Every metric update names a family and the series within it: the
+/// [`LabelSet`] identifying it. An unlabeled metric is the series under
+/// the empty set, so one family's series always add up to its total.
+///
 /// Implementations must be cheap and non-blocking on the metric paths —
 /// the pipeline calls them from its hot loops and from pool worker
 /// threads concurrently. The bundled [`InMemoryRecorder`] keeps every
-/// primitive lock-free (atomics) once a metric name is registered.
+/// primitive lock-free (atomics) once a series is registered.
 ///
 /// [`InMemoryRecorder`]: crate::registry::InMemoryRecorder
 pub trait Recorder: Send + Sync + std::fmt::Debug {
     /// The time source spans and events are stamped with.
     fn clock(&self) -> &dyn Clock;
 
-    /// Adds `delta` to the monotonic counter `name`.
-    fn counter(&self, name: &str, delta: u64);
+    /// Adds `delta` to the counter `name` within the series identified
+    /// by `labels`.
+    fn counter_with(&self, name: &str, labels: &LabelSet, delta: u64);
 
-    /// Sets the gauge `name` to `value` (last write wins).
-    fn gauge(&self, name: &str, value: f64);
+    /// Sets the gauge `name` for the series identified by `labels`
+    /// (last write wins).
+    fn gauge_with(&self, name: &str, labels: &LabelSet, value: f64);
 
-    /// Records one sample of the distribution `name`.
-    fn observe(&self, name: &str, value: f64);
+    /// Records one sample of the distribution `name` for the series
+    /// identified by `labels`.
+    fn observe_with(&self, name: &str, labels: &LabelSet, value: f64);
 
     /// Records a completed timing span. `path` is the dot-joined
     /// hierarchical span path (e.g. `collect.measure.emf`).
@@ -62,26 +69,6 @@ pub trait Recorder: Send + Sync + std::fmt::Debug {
     /// Records a structured event (alarms, run markers). The default
     /// implementation drops it.
     fn event(&self, _kind: &str, _fields: &[(&str, FieldValue)]) {}
-
-    /// Adds `delta` to the counter `name` within the series identified
-    /// by `labels`. The default implementation folds the update into
-    /// the unlabeled counter, so backends that predate labels keep
-    /// aggregate totals correct.
-    fn counter_with(&self, name: &str, _labels: &LabelSet, delta: u64) {
-        self.counter(name, delta);
-    }
-
-    /// Sets the gauge `name` for the series identified by `labels`.
-    /// Defaults to the unlabeled gauge.
-    fn gauge_with(&self, name: &str, _labels: &LabelSet, value: f64) {
-        self.gauge(name, value);
-    }
-
-    /// Records one sample of the distribution `name` for the series
-    /// identified by `labels`. Defaults to the unlabeled distribution.
-    fn observe_with(&self, name: &str, _labels: &LabelSet, value: f64) {
-        self.observe(name, value);
-    }
 
     /// Records one decision-forensics record. The default
     /// implementation drops it.
@@ -111,11 +98,11 @@ impl Recorder for NullRecorder {
         &self.clock
     }
 
-    fn counter(&self, _name: &str, _delta: u64) {}
+    fn counter_with(&self, _name: &str, _labels: &LabelSet, _delta: u64) {}
 
-    fn gauge(&self, _name: &str, _value: f64) {}
+    fn gauge_with(&self, _name: &str, _labels: &LabelSet, _value: f64) {}
 
-    fn observe(&self, _name: &str, _value: f64) {}
+    fn observe_with(&self, _name: &str, _labels: &LabelSet, _value: f64) {}
 
     fn span_complete(&self, _path: &str, _start_ns: u64, _elapsed_ns: u64) {}
 }
@@ -127,12 +114,10 @@ mod tests {
     #[test]
     fn null_recorder_accepts_everything_silently() {
         let r = NullRecorder::new();
-        r.counter("c", 1);
-        r.gauge("g", 2.0);
-        r.observe("h", 3.0);
         r.span_complete("a.b", 0, 10);
         r.event("e", &[("k", FieldValue::U64(1))]);
         let labels = LabelSet::from_pairs([("chip_id", "c0")]);
+        r.counter_with("c", &LabelSet::new(), 1);
         r.counter_with("c", &labels, 1);
         r.gauge_with("g", &labels, 2.0);
         r.observe_with("h", &labels, 3.0);

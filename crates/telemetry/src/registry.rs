@@ -1,9 +1,12 @@
 //! The in-memory metrics registry: the recorder tests assert against and
 //! the source every sink snapshots from.
 //!
-//! Hot-path updates are lock-free: each metric is an atomic cell (or a
-//! bank of atomic buckets for distributions). The registry maps only pay
-//! a read-lock on lookup and a write-lock the first time a name is seen.
+//! Every metric is a family: its name maps to a capped set of series,
+//! one per [`LabelSet`], and an unlabeled update is the series under the
+//! empty set. Hot-path updates are lock-free: each series is an atomic
+//! cell (or a bank of atomic buckets for distributions). The registry
+//! maps only pay a read-lock on lookup and a write-lock the first time
+//! a name or label set is seen.
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::forensics::DecisionRecord;
@@ -186,23 +189,19 @@ pub struct Event {
     pub fields: Vec<(String, FieldValue)>,
 }
 
-/// A point-in-time copy of the whole registry.
+/// A point-in-time copy of the whole registry. Metric maps go family
+/// name → label set → value; an unlabeled metric is the series under
+/// the empty [`LabelSet`].
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, f64>,
-    /// Value distributions by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
+    /// Counter series.
+    pub counters: BTreeMap<String, BTreeMap<LabelSet, u64>>,
+    /// Gauge series.
+    pub gauges: BTreeMap<String, BTreeMap<LabelSet, f64>>,
+    /// Distribution series.
+    pub histograms: BTreeMap<String, BTreeMap<LabelSet, HistogramSnapshot>>,
     /// Completed-span duration distributions (nanoseconds) by span path.
     pub spans: BTreeMap<String, HistogramSnapshot>,
-    /// Labeled counter series: family name → label set → value.
-    pub labeled_counters: BTreeMap<String, BTreeMap<LabelSet, u64>>,
-    /// Labeled gauge series: family name → label set → value.
-    pub labeled_gauges: BTreeMap<String, BTreeMap<LabelSet, f64>>,
-    /// Labeled distributions: family name → label set → distribution.
-    pub labeled_histograms: BTreeMap<String, BTreeMap<LabelSet, HistogramSnapshot>>,
     /// Updates routed to a family's overflow bucket because the
     /// per-family series cap was reached.
     pub series_overflowed: u64,
@@ -213,15 +212,18 @@ pub struct Snapshot {
     pub decisions_dropped: u64,
 }
 
-/// One labeled metric family: a capped map from label set to atomic
-/// cell. Lookups pay a read-lock; the write-lock is only taken the
-/// first time a label set is seen.
+/// One metric family: a capped map from label set to atomic cell.
+/// Lookups pay a read-lock; the write-lock is only taken the first time
+/// a label set is seen.
 #[derive(Debug, Default)]
-struct LabeledFamily<V> {
+struct Family<V> {
     series: RwLock<BTreeMap<LabelSet, Arc<V>>>,
 }
 
-impl<V: Default> LabeledFamily<V> {
+/// Name → family map of one metric kind.
+type Families<V> = RwLock<BTreeMap<String, Arc<Family<V>>>>;
+
+impl<V: Default> Family<V> {
     fn cell(&self, labels: &LabelSet, cap: usize, overflowed: &AtomicU64) -> Arc<V> {
         if let Some(c) = self
             .series
@@ -262,13 +264,10 @@ impl<V: Default> LabeledFamily<V> {
 #[derive(Debug)]
 pub struct InMemoryRecorder {
     clock: Box<dyn Clock>,
-    counters: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
-    histograms: RwLock<BTreeMap<String, Arc<AtomicHistogram>>>,
+    counters: Families<AtomicU64>,
+    gauges: Families<AtomicU64>,
+    histograms: Families<AtomicHistogram>,
     spans: RwLock<BTreeMap<String, Arc<AtomicHistogram>>>,
-    labeled_counters: RwLock<BTreeMap<String, Arc<LabeledFamily<AtomicU64>>>>,
-    labeled_gauges: RwLock<BTreeMap<String, Arc<LabeledFamily<AtomicU64>>>>,
-    labeled_histograms: RwLock<BTreeMap<String, Arc<LabeledFamily<AtomicHistogram>>>>,
     series_overflowed: AtomicU64,
     series_cap: usize,
     events: Mutex<Vec<Event>>,
@@ -289,8 +288,8 @@ impl InMemoryRecorder {
     /// Default bound on the in-memory event log.
     pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
 
-    /// Default bound on distinct label sets per labeled metric family
-    /// (the overflow bucket rides on top of the cap).
+    /// Default bound on distinct label sets per metric family (the
+    /// overflow bucket rides on top of the cap).
     pub const DEFAULT_SERIES_CAP: usize = 128;
 
     /// Default bound on the in-memory decision log.
@@ -311,9 +310,6 @@ impl InMemoryRecorder {
             gauges: RwLock::new(BTreeMap::new()),
             histograms: RwLock::new(BTreeMap::new()),
             spans: RwLock::new(BTreeMap::new()),
-            labeled_counters: RwLock::new(BTreeMap::new()),
-            labeled_gauges: RwLock::new(BTreeMap::new()),
-            labeled_histograms: RwLock::new(BTreeMap::new()),
             series_overflowed: AtomicU64::new(0),
             series_cap: Self::DEFAULT_SERIES_CAP,
             events: Mutex::new(Vec::new()),
@@ -331,7 +327,7 @@ impl InMemoryRecorder {
         self
     }
 
-    /// Overrides the per-family labeled-series cap (clamped ≥ 1).
+    /// Overrides the per-family series cap (clamped ≥ 1).
     pub fn with_series_cap(mut self, cap: usize) -> Self {
         self.series_cap = cap.max(1);
         self
@@ -373,27 +369,6 @@ impl InMemoryRecorder {
 
     /// A point-in-time copy of every metric.
     pub fn snapshot(&self) -> Snapshot {
-        let counters = self
-            .counters
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect();
-        let gauges = self
-            .gauges
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .map(|(k, v)| (k.clone(), f64::from_bits(v.load(Ordering::Relaxed))))
-            .collect();
-        let histograms = self
-            .histograms
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
-            .collect();
         let spans = self
             .spans
             .read()
@@ -401,44 +376,26 @@ impl InMemoryRecorder {
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect();
-        let labeled_counters = self
-            .labeled_counters
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .map(|(k, f)| (k.clone(), f.snapshot(|c| c.load(Ordering::Relaxed))))
-            .collect();
-        let labeled_gauges = self
-            .labeled_gauges
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .map(|(k, f)| {
-                (
-                    k.clone(),
-                    f.snapshot(|c| f64::from_bits(c.load(Ordering::Relaxed))),
-                )
-            })
-            .collect();
-        let labeled_histograms = self
-            .labeled_histograms
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .map(|(k, f)| (k.clone(), f.snapshot(AtomicHistogram::snapshot)))
-            .collect();
         Snapshot {
-            counters,
-            gauges,
-            histograms,
+            counters: Self::families(&self.counters, |c| c.load(Ordering::Relaxed)),
+            gauges: Self::families(&self.gauges, |c| f64::from_bits(c.load(Ordering::Relaxed))),
+            histograms: Self::families(&self.histograms, AtomicHistogram::snapshot),
             spans,
-            labeled_counters,
-            labeled_gauges,
-            labeled_histograms,
             series_overflowed: self.series_overflowed.load(Ordering::Relaxed),
             events_dropped: self.events_dropped.load(Ordering::Relaxed),
             decisions_dropped: self.decisions_dropped.load(Ordering::Relaxed),
         }
+    }
+
+    fn families<V: Default, T>(
+        map: &Families<V>,
+        read: impl Fn(&V) -> T,
+    ) -> BTreeMap<String, BTreeMap<LabelSet, T>> {
+        map.read()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .iter()
+            .map(|(k, f)| (k.clone(), f.snapshot(&read)))
+            .collect()
     }
 
     /// A copy of the event log, oldest first.
@@ -457,42 +414,15 @@ impl InMemoryRecorder {
             .clone()
     }
 
-    /// The per-family labeled-series cap.
+    /// The per-family series cap.
     pub fn series_cap(&self) -> usize {
         self.series_cap
-    }
-
-    fn labeled<V: Default>(
-        map: &RwLock<BTreeMap<String, Arc<LabeledFamily<V>>>>,
-        name: &str,
-    ) -> Arc<LabeledFamily<V>> {
-        if let Some(f) = map
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .get(name)
-        {
-            return Arc::clone(f);
-        }
-        let mut w = map.write().unwrap_or_else(|poisoned| poisoned.into_inner());
-        Arc::clone(w.entry(name.to_string()).or_default())
     }
 }
 
 impl Recorder for InMemoryRecorder {
     fn clock(&self) -> &dyn Clock {
         &*self.clock
-    }
-
-    fn counter(&self, name: &str, delta: u64) {
-        Self::cell(&self.counters, name).fetch_add(delta, Ordering::Relaxed);
-    }
-
-    fn gauge(&self, name: &str, value: f64) {
-        Self::cell(&self.gauges, name).store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    fn observe(&self, name: &str, value: f64) {
-        Self::cell(&self.histograms, name).record(value);
     }
 
     fn span_complete(&self, path: &str, start_ns: u64, elapsed_ns: u64) {
@@ -520,19 +450,19 @@ impl Recorder for InMemoryRecorder {
     }
 
     fn counter_with(&self, name: &str, labels: &LabelSet, delta: u64) {
-        Self::labeled(&self.labeled_counters, name)
+        Self::cell(&self.counters, name)
             .cell(labels, self.series_cap, &self.series_overflowed)
             .fetch_add(delta, Ordering::Relaxed);
     }
 
     fn gauge_with(&self, name: &str, labels: &LabelSet, value: f64) {
-        Self::labeled(&self.labeled_gauges, name)
+        Self::cell(&self.gauges, name)
             .cell(labels, self.series_cap, &self.series_overflowed)
             .store(value.to_bits(), Ordering::Relaxed);
     }
 
     fn observe_with(&self, name: &str, labels: &LabelSet, value: f64) {
-        Self::labeled(&self.labeled_histograms, name)
+        Self::cell(&self.histograms, name)
             .cell(labels, self.series_cap, &self.series_overflowed)
             .record(value);
     }
@@ -555,24 +485,32 @@ mod tests {
     use super::*;
     use crate::clock::ManualClock;
 
+    const NONE: LabelSet = LabelSet::new();
+
     #[test]
     fn counters_gauges_and_histograms_round_trip() {
         let r = InMemoryRecorder::new();
-        r.counter("traces", 3);
-        r.counter("traces", 2);
-        r.gauge("threshold", 0.015);
-        r.gauge("threshold", 0.017);
-        r.observe("distance", 0.5);
-        r.observe("distance", 2.0);
+        r.counter_with("traces", &NONE, 3);
+        r.counter_with("traces", &NONE, 2);
+        r.gauge_with("threshold", &NONE, 0.015);
+        r.gauge_with("threshold", &NONE, 0.017);
+        r.observe_with("distance", &NONE, 0.5);
+        r.observe_with("distance", &NONE, 2.0);
         let s = r.snapshot();
-        assert_eq!(s.counters["traces"], 5);
-        assert_eq!(s.gauges["threshold"], 0.017);
-        let h = &s.histograms["distance"];
+        assert_eq!(s.counters["traces"][&NONE], 5);
+        assert_eq!(s.gauges["threshold"][&NONE], 0.017);
+        let h = &s.histograms["distance"][&NONE];
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 2.5);
         assert_eq!(h.min, 0.5);
         assert_eq!(h.max, 2.0);
         assert_eq!(h.mean(), 1.25);
+        // A labeled update is a second series of the same family.
+        let chip = LabelSet::from_pairs([("chip_id", "c0")]);
+        r.counter_with("traces", &chip, 4);
+        let family = &r.snapshot().counters["traces"];
+        assert_eq!(family.len(), 2);
+        assert_eq!(family.values().sum::<u64>(), 9);
     }
 
     #[test]
@@ -621,15 +559,15 @@ mod tests {
                 let r = std::sync::Arc::clone(&r);
                 s.spawn(move || {
                     for i in 0..1000 {
-                        r.counter("n", 1);
-                        r.observe("v", i as f64);
+                        r.counter_with("n", &NONE, 1);
+                        r.observe_with("v", &NONE, i as f64);
                     }
                 });
             }
         });
         let snap = r.snapshot();
-        assert_eq!(snap.counters["n"], 4000);
-        assert_eq!(snap.histograms["v"].count, 4000);
+        assert_eq!(snap.counters["n"][&NONE], 4000);
+        assert_eq!(snap.histograms["v"][&NONE].count, 4000);
     }
 
     #[test]
@@ -671,7 +609,8 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..per_writer {
                         // Hit bucket edges on purpose.
-                        r.observe("edge", 2f64.powi((i % 8) as i32 - 4 + (w as i32 % 2)));
+                        let v = 2f64.powi((i % 8) as i32 - 4 + (w as i32 % 2));
+                        r.observe_with("edge", &NONE, v);
                     }
                 });
             }
@@ -681,7 +620,12 @@ mod tests {
             // panic.
             let mut last_count = 0u64;
             while !done.load(Ordering::Relaxed) {
-                if let Some(h) = r.snapshot().histograms.get("edge") {
+                if let Some(h) = r
+                    .snapshot()
+                    .histograms
+                    .get("edge")
+                    .and_then(|f| f.get(&NONE))
+                {
                     assert!(h.count >= last_count, "count went backwards");
                     last_count = h.count;
                 }
@@ -691,7 +635,7 @@ mod tests {
             }
         });
         // Quiescent snapshot: nothing lost, buckets sum to the count.
-        let h = r.snapshot().histograms["edge"].clone();
+        let h = r.snapshot().histograms["edge"][&NONE].clone();
         assert_eq!(h.count, (writers * per_writer) as u64);
         let bucket_total: u64 = h.buckets.iter().map(|(_, n)| n).sum();
         assert_eq!(bucket_total, h.count);
@@ -720,7 +664,7 @@ mod tests {
             r.counter_with("fleet.traces", &labels, 1);
         }
         let snap = r.snapshot();
-        let family = &snap.labeled_counters["fleet.traces"];
+        let family = &snap.counters["fleet.traces"];
         // 4 real series + the shared overflow bucket.
         assert_eq!(family.len(), 5);
         assert_eq!(family[&LabelSet::overflow()], 96);
@@ -733,7 +677,7 @@ mod tests {
         );
         let snap = r.snapshot();
         assert_eq!(
-            snap.labeled_counters["fleet.traces"][&LabelSet::from_pairs([("chip_id", "c0")])],
+            snap.counters["fleet.traces"][&LabelSet::from_pairs([("chip_id", "c0")])],
             11
         );
     }
@@ -747,8 +691,8 @@ mod tests {
         r.observe_with("tile.margin", &tile, 1.0);
         r.observe_with("tile.margin", &tile, 3.0);
         let snap = r.snapshot();
-        assert_eq!(snap.labeled_gauges["tile.threshold"][&tile], 0.5);
-        let h = &snap.labeled_histograms["tile.margin"][&tile];
+        assert_eq!(snap.gauges["tile.threshold"][&tile], 0.5);
+        let h = &snap.histograms["tile.margin"][&tile];
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 4.0);
         assert_eq!(snap.series_overflowed, 0);

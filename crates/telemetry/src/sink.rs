@@ -6,7 +6,7 @@
 use crate::labels::{escape_help_text, LabelSet};
 use crate::recorder::FieldValue;
 use crate::registry::{Event, HistogramSnapshot, Snapshot};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Maps a dotted metric name onto the Prometheus charset
@@ -49,8 +49,7 @@ pub fn json_number(v: f64) -> String {
 }
 
 /// Writes the `# HELP` / `# TYPE` header for a family exactly once —
-/// distinct dotted names can mangle to the same exposition name, and
-/// plain + labeled series of one family share a single header.
+/// distinct dotted names can mangle to the same exposition name.
 fn family_header(out: &mut String, typed: &mut BTreeSet<String>, n: &str, name: &str, kind: &str) {
     if typed.insert(n.to_string()) {
         let _ = writeln!(out, "# HELP {n} emtrust metric {}", escape_help_text(name));
@@ -58,20 +57,41 @@ fn family_header(out: &mut String, typed: &mut BTreeSet<String>, n: &str, name: 
     }
 }
 
+/// A series' label block: `{a="x"}`, or nothing for the empty set.
+fn braced(labels: &LabelSet) -> String {
+    if labels.is_empty() {
+        String::new()
+    } else {
+        labels.to_string()
+    }
+}
+
+/// Writes every series of every family of one scalar kind (counter or
+/// gauge); the empty label set renders as a bare sample.
+fn write_scalars<T: std::fmt::Display>(
+    out: &mut String,
+    typed: &mut BTreeSet<String>,
+    kind: &str,
+    families: &BTreeMap<String, BTreeMap<LabelSet, T>>,
+) {
+    for (name, family) in families {
+        let n = prometheus_name(name);
+        family_header(out, typed, &n, name, kind);
+        for (labels, value) in family {
+            let _ = writeln!(out, "{n}{} {value}", braced(labels));
+        }
+    }
+}
+
 /// Writes one histogram's `_bucket`/`+Inf`/`_sum`/`_count` series, with
-/// optional label pairs merged ahead of `le`.
+/// the series' label pairs merged ahead of `le`.
 fn write_histogram(out: &mut String, n: &str, labels: &LabelSet, h: &HistogramSnapshot) {
-    let rendered = labels.render();
-    let lead = if rendered.is_empty() {
+    let lead = if labels.is_empty() {
         String::new()
     } else {
-        format!("{rendered},")
+        format!("{},", labels.render())
     };
-    let braced = if rendered.is_empty() {
-        String::new()
-    } else {
-        format!("{{{rendered}}}")
-    };
+    let braced = braced(labels);
     let mut cumulative = 0u64;
     for (le, count) in &h.buckets {
         cumulative += count;
@@ -104,67 +124,30 @@ fn write_quantiles(
 }
 
 /// Renders a [`Snapshot`] in the Prometheus text exposition format:
-/// counters and gauges (plain and labeled series share one family
-/// header), histograms with cumulative `le` buckets plus `_sum` /
-/// `_count` and a p50/p95/p99 `_quantile` gauge family, and span
-/// distributions as `…_span_ns` histograms. `# TYPE` is emitted once
-/// per family, label values and help text are escaped per the text
-/// format spec, and the output always ends with a newline.
+/// counters and gauges (one family header, then one sample per series;
+/// the unlabeled series is a bare sample), histograms with cumulative
+/// `le` buckets plus `_sum` / `_count` and a p50/p95/p99 `_quantile`
+/// gauge family, and span distributions as `…_span_ns` histograms.
+/// `# TYPE` is emitted once per family, label values and help text are
+/// escaped per the text format spec, and the output always ends with a
+/// newline.
 pub fn prometheus_text(snapshot: &Snapshot) -> String {
     let mut out = String::new();
     let mut typed = BTreeSet::new();
 
-    let counter_names: BTreeSet<&String> = snapshot
-        .counters
-        .keys()
-        .chain(snapshot.labeled_counters.keys())
-        .collect();
-    for name in counter_names {
-        let n = prometheus_name(name);
-        family_header(&mut out, &mut typed, &n, name, "counter");
-        if let Some(value) = snapshot.counters.get(name) {
-            let _ = writeln!(out, "{n} {value}");
-        }
-        for (labels, value) in snapshot.labeled_counters.get(name).into_iter().flatten() {
-            let _ = writeln!(out, "{n}{{{}}} {value}", labels.render());
-        }
-    }
+    write_scalars(&mut out, &mut typed, "counter", &snapshot.counters);
+    write_scalars(&mut out, &mut typed, "gauge", &snapshot.gauges);
 
-    let gauge_names: BTreeSet<&String> = snapshot
-        .gauges
-        .keys()
-        .chain(snapshot.labeled_gauges.keys())
-        .collect();
-    for name in gauge_names {
-        let n = prometheus_name(name);
-        family_header(&mut out, &mut typed, &n, name, "gauge");
-        if let Some(value) = snapshot.gauges.get(name) {
-            let _ = writeln!(out, "{n} {value}");
-        }
-        for (labels, value) in snapshot.labeled_gauges.get(name).into_iter().flatten() {
-            let _ = writeln!(out, "{n}{{{}}} {value}", labels.render());
-        }
-    }
-
-    let histogram_names: BTreeSet<&String> = snapshot
-        .histograms
-        .keys()
-        .chain(snapshot.labeled_histograms.keys())
-        .collect();
-    let empty = LabelSet::new();
-    for name in histogram_names {
+    for (name, family) in &snapshot.histograms {
         let n = prometheus_name(name);
         family_header(&mut out, &mut typed, &n, name, "histogram");
-        if let Some(h) = snapshot.histograms.get(name) {
-            write_histogram(&mut out, &n, &empty, h);
-            write_quantiles(&mut out, &mut typed, &n, name, &empty, h);
-        }
-        for (labels, h) in snapshot.labeled_histograms.get(name).into_iter().flatten() {
+        for (labels, h) in family {
             write_histogram(&mut out, &n, labels, h);
             write_quantiles(&mut out, &mut typed, &n, name, labels, h);
         }
     }
 
+    let empty = LabelSet::new();
     for (name, h) in &snapshot.spans {
         let qualified = format!("span_ns_{name}");
         let n = prometheus_name(&qualified);
@@ -231,9 +214,10 @@ mod tests {
     #[test]
     fn prometheus_text_contains_all_metric_kinds() {
         let r = InMemoryRecorder::new();
-        r.counter("monitor.traces", 7);
-        r.gauge("fingerprint.threshold", 0.0151);
-        r.observe("monitor.distance", 0.08);
+        let none = LabelSet::new();
+        r.counter_with("monitor.traces", &none, 7);
+        r.gauge_with("fingerprint.threshold", &none, 0.0151);
+        r.observe_with("monitor.distance", &none, 0.08);
         r.span_complete("collect.measure", 0, 1500);
         let text = prometheus_text(&r.snapshot());
         assert!(text.contains("# TYPE emtrust_monitor_traces counter"));
@@ -251,10 +235,11 @@ mod tests {
     #[test]
     fn type_lines_are_emitted_once_per_family() {
         let r = InMemoryRecorder::new();
+        let none = LabelSet::new();
         // Distinct dotted names that mangle to the same exposition name.
-        r.counter("monitor.traces", 1);
-        r.counter("monitor_traces", 2);
-        // Plain + labeled series of one family.
+        r.counter_with("monitor.traces", &none, 1);
+        r.counter_with("monitor_traces", &none, 2);
+        // Unlabeled + labeled series of one family.
         r.counter_with(
             "monitor.traces",
             &LabelSet::from_pairs([("chip_id", "c0")]),
@@ -293,7 +278,7 @@ mod tests {
     #[test]
     fn label_values_and_help_text_are_escaped() {
         let r = InMemoryRecorder::new();
-        r.counter("weird\nname", 1);
+        r.counter_with("weird\nname", &LabelSet::new(), 1);
         r.counter_with(
             "fleet.traces",
             &LabelSet::from_pairs([("path", "a\"b\\c\nd")]),

@@ -133,7 +133,7 @@ fn decision_log_reconstructs_a_trojan_replay() {
     // Labeled series reached the registry under the chip's label.
     let snap = registry.snapshot();
     let labeled: Vec<&str> = snap
-        .labeled_counters
+        .counters
         .iter()
         .filter(|(_, family)| family.keys().any(|l| l.get("chip_id") == Some("chip-e2e")))
         .map(|(name, _)| name.as_str())
@@ -141,7 +141,30 @@ fn decision_log_reconstructs_a_trojan_replay() {
     assert!(
         !labeled.is_empty(),
         "expected chip-labeled counter families, got {:?}",
-        snap.labeled_counters.keys().collect::<Vec<_>>()
+        snap.counters.keys().collect::<Vec<_>>()
+    );
+
+    // Each pipeline counter is emitted once, under the chip's labels
+    // only: the family's series add up to the true count.
+    let chip = LabelSet::new().with("chip_id", "chip-e2e");
+    for (name, expected) in [
+        ("monitor.traces", pipeline.traces_seen()),
+        ("monitor.alarms", pipeline.alarms().len() as u64),
+    ] {
+        let family = &snap.counters[name];
+        assert_eq!(
+            family.keys().collect::<Vec<_>>(),
+            [&chip],
+            "{name} must hold exactly the chip series"
+        );
+        assert_eq!(family[&chip], expected, "{name}");
+    }
+    let prom = telemetry::sink::prometheus_text(&snap);
+    assert!(
+        !prom
+            .lines()
+            .any(|l| l.starts_with("emtrust_monitor_traces ")),
+        "no bare unlabeled sample may shadow the chip series:\n{prom}"
     );
 }
 
@@ -160,11 +183,11 @@ fn ten_thousand_distinct_labels_stay_bounded() {
         registry.observe_with("fleet.distance", &labels, i as f64);
     }
     let snap = registry.snapshot();
-    let family = &snap.labeled_counters["fleet.traces"];
+    let family = &snap.counters["fleet.traces"];
     assert_eq!(family.len(), CAP + 1, "cap plus the overflow bucket");
     let overflow = family[&LabelSet::overflow()];
     assert_eq!(overflow, DISTINCT - CAP as u64, "no update may be lost");
-    assert_eq!(snap.labeled_histograms["fleet.distance"].len(), CAP + 1);
+    assert_eq!(snap.histograms["fleet.distance"].len(), CAP + 1);
     assert_eq!(snap.series_overflowed, 2 * (DISTINCT - CAP as u64));
 }
 
@@ -195,7 +218,7 @@ proptest! {
             registry.counter_with("prop.updates", &labels, 1);
         }
         let snap = registry.snapshot();
-        let family = &snap.labeled_counters["prop.updates"];
+        let family = &snap.counters["prop.updates"];
         prop_assert!(family.len() <= cap + 1, "family {} > cap {cap}+1", family.len());
         let total: u64 = family.values().sum();
         prop_assert_eq!(total, values.len() as u64, "updates must never be lost");

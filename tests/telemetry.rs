@@ -5,7 +5,7 @@
 
 use emtrust::acquisition::{Stimulus, TestBench};
 use emtrust::telemetry::{
-    self, FlightRecorderConfig, ForensicsConfig, InMemoryRecorder, ManualClock,
+    self, FlightRecorderConfig, ForensicsConfig, InMemoryRecorder, LabelSet, ManualClock,
 };
 use emtrust::{
     DetectionPipeline, EuclideanDetector, FingerprintConfig, GoldenFingerprint, ParallelConfig,
@@ -110,9 +110,10 @@ fn trojan_replay_raises_alarms_with_forensic_context() {
             snap.spans.keys().collect::<Vec<_>>()
         );
     }
-    assert!(snap.counters["monitor.alarms"] >= raised.len() as u64);
-    assert!(snap.counters["monitor.traces"] >= pipeline.traces_seen());
-    assert!(snap.histograms.contains_key("monitor.distance"));
+    let none = LabelSet::new();
+    assert!(snap.counters["monitor.alarms"][&none] >= raised.len() as u64);
+    assert!(snap.counters["monitor.traces"][&none] >= pipeline.traces_seen());
+    assert!(snap.histograms["monitor.distance"].contains_key(&none));
 
     // Both sinks render the captured run.
     let prom = emtrust::telemetry::sink::prometheus_text(&snap);
@@ -149,15 +150,23 @@ fn collection_stays_bit_identical_with_a_recorder_installed() {
     }
     telemetry::uninstall();
 
-    // The pool reported per-worker chunk timings for the fanned-out runs.
+    // The pool reported per-worker chunk timings for the fanned-out runs:
+    // one `pool.chunk_ns` family, one series per `worker` label.
     let snap = registry.snapshot();
-    assert!(snap.counters["pool.chunks"] > 0);
+    assert!(snap.counters["pool.chunks"][&LabelSet::new()] > 0);
+    let chunk_ns = snap.histograms.get("pool.chunk_ns").unwrap_or_else(|| {
+        panic!(
+            "per-worker timings missing; got {:?}",
+            snap.histograms.keys().collect::<Vec<_>>()
+        )
+    });
+    assert!(chunk_ns.contains_key(&LabelSet::new().with("worker", "0")));
     assert!(
-        snap.histograms
+        chunk_ns
             .keys()
-            .any(|k| k.starts_with("pool.worker.")),
-        "per-worker timings missing; got {:?}",
-        snap.histograms.keys().collect::<Vec<_>>()
+            .all(|l| l.len() == 1 && l.get("worker").is_some()),
+        "{:?}",
+        chunk_ns.keys().collect::<Vec<_>>()
     );
 }
 
