@@ -24,7 +24,7 @@ use crate::sbox::sbox_truth_table;
 use emtrust_netlist::graph::{NetId, Netlist};
 use emtrust_netlist::synth::{BddSynthesizer, TruthTable};
 use emtrust_netlist::NetlistError;
-use emtrust_sim::engine::Simulator;
+use emtrust_sim::engine::{Simulator, TapeCache};
 
 /// The primary ports of a generated AES-128 core.
 #[derive(Debug, Clone)]
@@ -329,6 +329,8 @@ pub const CYCLES_PER_BLOCK: usize = 12;
 pub struct AesHarness {
     netlist: Netlist,
     ports: AesPorts,
+    /// The simulation tape, compiled by the first [`Self::simulator`].
+    tape: TapeCache,
 }
 
 impl AesHarness {
@@ -336,7 +338,11 @@ impl AesHarness {
     pub fn new() -> Self {
         let mut netlist = Netlist::new("aes128");
         let ports = build_aes(&mut netlist);
-        Self { netlist, ports }
+        Self {
+            netlist,
+            ports,
+            tape: TapeCache::new(),
+        }
     }
 
     /// The generated netlist.
@@ -349,14 +355,15 @@ impl AesHarness {
         &self.ports
     }
 
-    /// Spawns a fresh simulator over the netlist.
+    /// Spawns a fresh simulator over the netlist. The netlist is compiled
+    /// once, on the first call; later simulators share that tape.
     ///
     /// # Errors
     ///
-    /// Propagates structural errors from simulator construction (none occur
+    /// Propagates structural errors from compiling the netlist (none occur
     /// for the generated core; the signature keeps the contract honest).
     pub fn simulator(&self) -> Result<Simulator<'_>, NetlistError> {
-        Simulator::new(&self.netlist)
+        self.tape.simulator(&self.netlist)
     }
 
     /// Encrypts one block on a fresh simulator (convenience for tests).

@@ -197,6 +197,47 @@ fn check_parallel(doc: &Value) -> Result<(), String> {
     if expect_number(hot, "ratio")? <= 0.0 {
         return Err("\"hot_path.ratio\" must be positive".into());
     }
+    check_sim_throughput(expect(doc, "sim", "object")?).map_err(|e| format!("sim: {e}"))
+}
+
+/// Toggles per cycle of `exp_throughput`'s simulation workload. The
+/// simulation is deterministic, so any other value means the workload
+/// or the simulator's semantics changed.
+const SIM_TOGGLES_PER_CYCLE: f64 = 827_729.0 / 192.0;
+
+fn check_sim_throughput(sim: &Value) -> Result<(), String> {
+    if !expect_bool(sim, "recording")? {
+        return Err("\"recording\" must be true".into());
+    }
+    if expect_u64(sim, "repeats")? < 3 {
+        return Err("a median needs at least 3 repeats".into());
+    }
+    let cycles = expect_u64(sim, "cycles_per_run")?;
+    let toggles = expect_u64(sim, "toggles_per_run")?;
+    let per_cycle = expect_number(sim, "toggles_per_cycle")?;
+    if cycles == 0 || (per_cycle - toggles as f64 / cycles as f64).abs() > 1e-6 {
+        return Err(format!(
+            "\"toggles_per_cycle\" {per_cycle} is not toggles_per_run / cycles_per_run"
+        ));
+    }
+    if (per_cycle - SIM_TOGGLES_PER_CYCLE).abs() > 1e-6 {
+        return Err(format!(
+            "\"toggles_per_cycle\" {per_cycle} must be {SIM_TOGGLES_PER_CYCLE}"
+        ));
+    }
+    for key in ["ns_per_cycle", "cycles_per_s"] {
+        let median = expect_number(sim, key)?;
+        let iqr = expect_array(sim, &format!("{key}_iqr"))?;
+        let [q1, q3] = iqr else {
+            return Err(format!("\"{key}_iqr\" must be [q1, q3]"));
+        };
+        let (q1, q3) = (q1.as_f64(), q3.as_f64());
+        if !matches!((q1, q3), (Some(q1), Some(q3)) if 0.0 < q1 && q1 <= median && median <= q3) {
+            return Err(format!(
+                "\"{key}\" {median} must be positive and inside its IQR"
+            ));
+        }
+    }
     Ok(())
 }
 

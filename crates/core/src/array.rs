@@ -664,7 +664,7 @@ impl<'c> SensorArray<'c> {
             let mut sim = self.chip.simulator()?;
             self.chip.disarm_all(&mut sim);
             if let Some(kind) = armed {
-                self.chip.arm(&mut sim, kind, true);
+                self.chip.arm(&mut sim, kind, true)?;
             }
             let _ = run_encryption_with(&mut sim, self.chip.aes_ports(), key, pt, |_| {});
             let mut recorded = Vec::with_capacity(n_traces);

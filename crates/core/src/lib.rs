@@ -173,6 +173,9 @@ pub enum TrustError {
     Netlist(emtrust_netlist::NetlistError),
     /// Forwarded from the layout substrate.
     Layout(emtrust_layout::LayoutError),
+    /// Forwarded from driving the chip's Trojans (e.g. arming one the
+    /// chip does not carry).
+    Trojan(emtrust_trojan::TrojanError),
 }
 
 impl fmt::Display for TrustError {
@@ -199,6 +202,7 @@ impl fmt::Display for TrustError {
             TrustError::Silicon(e) => write!(f, "silicon: {e}"),
             TrustError::Netlist(e) => write!(f, "netlist: {e}"),
             TrustError::Layout(e) => write!(f, "layout: {e}"),
+            TrustError::Trojan(e) => write!(f, "trojan: {e}"),
         }
     }
 }
@@ -211,6 +215,7 @@ impl std::error::Error for TrustError {
             TrustError::Silicon(e) => Some(e),
             TrustError::Netlist(e) => Some(e),
             TrustError::Layout(e) => Some(e),
+            TrustError::Trojan(e) => Some(e),
             _ => None,
         }
     }
@@ -243,6 +248,12 @@ impl From<emtrust_netlist::NetlistError> for TrustError {
 impl From<emtrust_layout::LayoutError> for TrustError {
     fn from(e: emtrust_layout::LayoutError) -> Self {
         TrustError::Layout(e)
+    }
+}
+
+impl From<emtrust_trojan::TrojanError> for TrustError {
+    fn from(e: emtrust_trojan::TrojanError) -> Self {
+        TrustError::Trojan(e)
     }
 }
 

@@ -101,7 +101,7 @@ impl<'c> PowerBaseline<'c> {
         let mut sim = self.chip.simulator()?;
         self.chip.disarm_all(&mut sim);
         if let Some(kind) = armed {
-            self.chip.arm(&mut sim, kind, true);
+            self.chip.arm(&mut sim, kind, true)?;
         }
         let warmup: [u8; 16] = match stimulus {
             Stimulus::Fixed(block) => block,

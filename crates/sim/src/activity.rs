@@ -39,6 +39,11 @@ impl CycleActivity {
         }
     }
 
+    /// A record holding `events`, in evaluation order.
+    pub(crate) fn from_events(cycle: u64, events: Vec<ToggleEvent>) -> Self {
+        Self { cycle, events }
+    }
+
     /// The clock cycle index this record belongs to.
     pub fn cycle(&self) -> u64 {
         self.cycle

@@ -1,9 +1,236 @@
 //! The cycle-based simulation engine.
+//!
+//! [`Tape::compile`] validates and levelizes a netlist once and flattens
+//! its combinational cells, in eval order, into a tape of fixed-size
+//! entries. Each entry is an 8-bit truth table, three input slots, an
+//! output slot, the cell id and its switching slot. A [`Simulator`] runs
+//! that tape every cycle without looking at the netlist or branching on
+//! the gate kind.
 
 use crate::activity::{ActivityTrace, CycleActivity, ToggleEvent};
+use emtrust_netlist::cell::CellKind;
 use emtrust_netlist::graph::{CellId, NetId, NetSource, Netlist};
 use emtrust_netlist::level::{levelize, Levels};
 use emtrust_netlist::NetlistError;
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
+/// The output of `kind` for every input pattern `a | b << 1 | c << 2`,
+/// one bit per pattern, where `[a, b, c]` are the cell's inputs in pin
+/// order. One-input kinds ignore `b` and `c`, two-input kinds ignore
+/// `c`. `None` for the flip-flop and for any kind the tape does not know.
+fn truth_table(kind: CellKind) -> Option<u8> {
+    match kind {
+        CellKind::Buf | CellKind::PadDriver => Some(0xAA),
+        CellKind::Inv => Some(0x55),
+        CellKind::And2 => Some(0x88),
+        CellKind::Nand2 => Some(0x77),
+        CellKind::Or2 => Some(0xEE),
+        CellKind::Nor2 => Some(0x11),
+        CellKind::Xor2 => Some(0x66),
+        CellKind::Xnor2 => Some(0x99),
+        // [d0, d1, sel]: sel = 0 passes d0 (patterns 1, 3), sel = 1
+        // passes d1 (patterns 6, 7).
+        CellKind::Mux2 => Some(0xCA),
+        _ => None,
+    }
+}
+
+/// One combinational cell on the tape.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    /// Input net indices `[a, b, c]`; unused slots read the const-0 net.
+    ins: [u32; 3],
+    /// Output net index.
+    out: u32,
+    /// The cell, for its toggle events.
+    cell: CellId,
+    /// Switching slot of the cell's toggles: levelization depth + 1.
+    level: u32,
+    /// See [`truth_table`].
+    table: u8,
+}
+
+/// A flip-flop: its cell and its `d` and `q` net indices.
+#[derive(Debug, Clone, Copy)]
+struct Flop {
+    cell: CellId,
+    d: u32,
+    q: u32,
+}
+
+/// A netlist compiled for simulation: validated, levelized and flattened
+/// into one tape entry per combinational cell, in eval order.
+///
+/// Compiling costs a few milliseconds on the full test chip, so owners
+/// that spawn many simulators over one netlist keep the tape in a
+/// [`TapeCache`].
+#[derive(Debug, Clone)]
+pub struct Tape {
+    ops: Vec<Op>,
+    flops: Vec<Flop>,
+    levels: Levels,
+    net_count: usize,
+    cell_count: usize,
+    const1: usize,
+}
+
+impl Tape {
+    /// Compiles `netlist`.
+    ///
+    /// # Errors
+    ///
+    /// - any structural error from [`Netlist::validate`],
+    /// - [`NetlistError::CombinationalCycle`] from levelization,
+    /// - [`NetlistError::BadTruthTable`] for a cell kind the tape cannot
+    ///   encode,
+    /// - [`NetlistError::ArityMismatch`] for a cell with the wrong number
+    ///   of inputs.
+    pub fn compile(netlist: &Netlist) -> Result<Self, NetlistError> {
+        netlist.validate()?;
+        let levels = levelize(netlist)?;
+        let zero = netlist.const0().index() as u32;
+        let ops = levels
+            .eval_order()
+            .iter()
+            .map(|&cell_id| {
+                let cell = netlist.cell(cell_id);
+                let kind = cell.kind();
+                let table = truth_table(kind).ok_or(NetlistError::BadTruthTable {
+                    what: "cell kind has no simulation truth table",
+                })?;
+                let inputs = cell.inputs();
+                if inputs.len() != kind.arity() {
+                    return Err(NetlistError::ArityMismatch {
+                        kind,
+                        expected: kind.arity(),
+                        actual: inputs.len(),
+                    });
+                }
+                let mut ins = [zero; 3];
+                for (slot, net) in ins.iter_mut().zip(inputs) {
+                    *slot = net.index() as u32;
+                }
+                Ok(Op {
+                    ins,
+                    out: cell.output().index() as u32,
+                    cell: cell_id,
+                    level: levels.level_of(cell_id) + 1,
+                    table,
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let flops = netlist
+            .cells()
+            .filter(|(_, c)| c.kind().is_sequential())
+            .map(|(cell, c)| Flop {
+                cell,
+                d: c.inputs()[0].index() as u32,
+                q: c.output().index() as u32,
+            })
+            .collect();
+        Ok(Self {
+            ops,
+            flops,
+            levels,
+            net_count: netlist.net_count(),
+            cell_count: netlist.cell_count(),
+            const1: netlist.const1().index(),
+        })
+    }
+
+    /// The levelization the tape was compiled from.
+    pub fn levels(&self) -> &Levels {
+        &self.levels
+    }
+
+    /// Nets at power-up: all 0 but the const-1 net.
+    fn initial_values(&self) -> Vec<bool> {
+        let mut values = vec![false; self.net_count];
+        values[self.const1] = true;
+        values
+    }
+
+    /// A toggle buffer with one slot per flip-flop and per tape entry, so
+    /// a whole cycle's toggles always fit. A cycle overwrites each slot
+    /// before reading it; the initial events only need a valid cell.
+    fn event_slots(&self) -> Vec<ToggleEvent> {
+        let flops = self.flops.iter().map(|f| ToggleEvent {
+            cell: f.cell,
+            level: 0,
+            rising: false,
+        });
+        let ops = self.ops.iter().map(|op| ToggleEvent {
+            cell: op.cell,
+            level: op.level,
+            rising: false,
+        });
+        flops.chain(ops).collect()
+    }
+}
+
+/// A netlist's tape, compiled on first use and shared by every simulator
+/// spawned after. A compile error is kept and returned on every call.
+#[derive(Debug, Default)]
+pub struct TapeCache(OnceLock<Result<Tape, NetlistError>>);
+
+impl TapeCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A simulator over `netlist` on the cached tape, compiling it on the
+    /// first call.
+    ///
+    /// # Errors
+    ///
+    /// Any error from [`Tape::compile`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache was filled from a netlist with a different
+    /// number of nets or cells (see [`Simulator::with_tape`]).
+    pub fn simulator<'a>(&'a self, netlist: &'a Netlist) -> Result<Simulator<'a>, NetlistError> {
+        let tape = self
+            .0
+            .get_or_init(|| Tape::compile(netlist))
+            .as_ref()
+            .map_err(Clone::clone)?;
+        Ok(Simulator::with_tape(netlist, tape))
+    }
+}
+
+/// Runs the tape once over `values`. With `RECORD`, each entry's event
+/// is written to `events[len]` unconditionally and `len` advances only
+/// when the output changed; returns the final `len`.
+#[inline]
+fn run_ops<const RECORD: bool>(
+    ops: &[Op],
+    values: &mut [bool],
+    events: &mut [ToggleEvent],
+    mut len: usize,
+) -> usize {
+    for op in ops {
+        let [a, b, c] = op.ins;
+        let pattern = usize::from(values[a as usize])
+            | usize::from(values[b as usize]) << 1
+            | usize::from(values[c as usize]) << 2;
+        let new = op.table >> pattern & 1 != 0;
+        let out = &mut values[op.out as usize];
+        let changed = *out != new;
+        *out = new;
+        if RECORD {
+            events[len] = ToggleEvent {
+                cell: op.cell,
+                level: op.level,
+                rising: new,
+            };
+            len += usize::from(changed);
+        }
+    }
+    len
+}
 
 /// A two-phase, cycle-based simulator over a borrowed [`Netlist`].
 ///
@@ -20,42 +247,52 @@ use emtrust_netlist::NetlistError;
 #[derive(Debug)]
 pub struct Simulator<'a> {
     netlist: &'a Netlist,
-    levels: Levels,
+    tape: Cow<'a, Tape>,
     values: Vec<bool>,
-    /// Flip-flop cells in id order, with their (d, q) nets.
-    flops: Vec<(CellId, NetId, NetId)>,
     staged: Vec<bool>,
+    /// Reusable per-cycle toggle buffer (see [`Tape::event_slots`]);
+    /// allocated when the first recording starts.
+    events: Vec<ToggleEvent>,
     recording: Option<ActivityTrace>,
     cycle: u64,
 }
 
 impl<'a> Simulator<'a> {
-    /// Creates a simulator; all nets start at logic 0 (constants excepted).
+    /// Creates a simulator with a tape of its own; all nets start at
+    /// logic 0 (constants excepted).
     ///
     /// # Errors
     ///
-    /// Propagates [`NetlistError::CombinationalCycle`] from levelization
-    /// and any structural error from [`Netlist::validate`].
+    /// Propagates any error from [`Tape::compile`].
     pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
-        netlist.validate()?;
-        let levels = levelize(netlist)?;
-        let mut values = vec![false; netlist.net_count()];
-        values[netlist.const1().index()] = true;
-        let flops: Vec<(CellId, NetId, NetId)> = netlist
-            .cells()
-            .filter(|(_, c)| c.kind().is_sequential())
-            .map(|(id, c)| (id, c.inputs()[0], c.output()))
-            .collect();
-        let staged = vec![false; flops.len()];
-        Ok(Self {
+        let tape = Tape::compile(netlist)?;
+        Ok(Self::build(netlist, Cow::Owned(tape)))
+    }
+
+    /// Creates a simulator that borrows a tape compiled from `netlist`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tape` was compiled from a netlist with a different
+    /// number of nets or cells.
+    pub fn with_tape(netlist: &'a Netlist, tape: &'a Tape) -> Self {
+        assert!(
+            tape.net_count == netlist.net_count() && tape.cell_count == netlist.cell_count(),
+            "tape was compiled from another netlist"
+        );
+        Self::build(netlist, Cow::Borrowed(tape))
+    }
+
+    fn build(netlist: &'a Netlist, tape: Cow<'a, Tape>) -> Self {
+        Self {
             netlist,
-            levels,
-            values,
-            flops,
-            staged,
+            values: tape.initial_values(),
+            staged: vec![false; tape.flops.len()],
+            events: Vec::new(),
+            tape,
             recording: None,
             cycle: 0,
-        })
+        }
     }
 
     /// The netlist under simulation.
@@ -65,7 +302,7 @@ impl<'a> Simulator<'a> {
 
     /// The levelization used for evaluation order and switching times.
     pub fn levels(&self) -> &Levels {
-        &self.levels
+        self.tape.levels()
     }
 
     /// Number of clock edges applied so far.
@@ -122,6 +359,9 @@ impl<'a> Simulator<'a> {
 
     /// Starts recording switching activity into a fresh trace.
     pub fn start_recording(&mut self) {
+        if self.events.is_empty() {
+            self.events = self.tape.event_slots();
+        }
         self.recording = Some(ActivityTrace::new());
     }
 
@@ -140,57 +380,56 @@ impl<'a> Simulator<'a> {
     /// clock edge and without recording activity. Useful to establish a
     /// consistent pre-clock state after setting initial inputs.
     pub fn settle(&mut self) {
-        for &cell_id in self.levels.eval_order() {
-            let cell = self.netlist.cell(cell_id);
-            let new = self.eval_cell(cell_id);
-            self.values[cell.output().index()] = new;
-        }
+        run_ops::<false>(&self.tape.ops, &mut self.values, &mut [], 0);
     }
 
     /// Applies one rising clock edge, then settles combinational logic.
     /// Records toggles if a recording is in progress.
     pub fn step(&mut self) {
-        // Phase 1: capture d.
-        for (i, &(_, d, _)) in self.flops.iter().enumerate() {
-            self.staged[i] = self.values[d.index()];
+        if self.recording.is_some() {
+            self.clock_edge::<true>();
+        } else {
+            self.clock_edge::<false>();
         }
-        let mut cycle_activity = CycleActivity::new(self.cycle);
-        // Phase 2: update q.
-        for (i, &(cell, _, q)) in self.flops.iter().enumerate() {
-            let new = self.staged[i];
-            let old = self.values[q.index()];
-            if new != old {
-                self.values[q.index()] = new;
-                if self.recording.is_some() {
-                    cycle_activity.push(ToggleEvent {
-                        cell,
-                        level: 0,
-                        rising: new,
-                    });
-                }
+        self.cycle += 1;
+    }
+
+    fn clock_edge<const RECORD: bool>(&mut self) {
+        let Self {
+            tape,
+            values,
+            staged,
+            events,
+            recording,
+            cycle,
+            ..
+        } = self;
+        // Phase 1: every flop captures d before any q moves.
+        for (s, f) in staged.iter_mut().zip(&tape.flops) {
+            *s = values[f.d as usize];
+        }
+        // Phase 2: update q, recording level-0 toggles.
+        let mut len = 0;
+        for (f, &new) in tape.flops.iter().zip(staged.iter()) {
+            let q = &mut values[f.q as usize];
+            let changed = *q != new;
+            *q = new;
+            if RECORD {
+                events[len] = ToggleEvent {
+                    cell: f.cell,
+                    level: 0,
+                    rising: new,
+                };
+                len += usize::from(changed);
             }
         }
         // Phase 3: combinational settle in level order.
-        for idx in 0..self.levels.eval_order().len() {
-            let cell_id = self.levels.eval_order()[idx];
-            let new = self.eval_cell(cell_id);
-            let out = self.netlist.cell(cell_id).output();
-            let old = self.values[out.index()];
-            if new != old {
-                self.values[out.index()] = new;
-                if self.recording.is_some() {
-                    cycle_activity.push(ToggleEvent {
-                        cell: cell_id,
-                        level: self.levels.level_of(cell_id) + 1,
-                        rising: new,
-                    });
-                }
+        let len = run_ops::<RECORD>(&tape.ops, values, events, len);
+        if RECORD {
+            if let Some(trace) = recording {
+                trace.push_cycle(CycleActivity::from_events(*cycle, events[..len].to_vec()));
             }
         }
-        if let Some(trace) = &mut self.recording {
-            trace.push_cycle(cycle_activity);
-        }
-        self.cycle += 1;
     }
 
     /// Runs `n` clock cycles.
@@ -203,39 +442,164 @@ impl<'a> Simulator<'a> {
     /// Resets all state: nets to 0, cycle counter to 0. Any in-progress
     /// recording is discarded.
     pub fn reset(&mut self) {
-        for v in self.values.iter_mut() {
-            *v = false;
-        }
-        self.values[self.netlist.const1().index()] = true;
-        for s in self.staged.iter_mut() {
-            *s = false;
-        }
+        self.values.fill(false);
+        self.values[self.tape.const1] = true;
+        self.staged.fill(false);
         self.cycle = 0;
         self.recording = None;
-    }
-
-    #[inline]
-    fn eval_cell(&self, cell_id: CellId) -> bool {
-        let cell = self.netlist.cell(cell_id);
-        let ins = cell.inputs();
-        match ins.len() {
-            1 => cell.kind().eval(&[self.values[ins[0].index()]]),
-            2 => cell
-                .kind()
-                .eval(&[self.values[ins[0].index()], self.values[ins[1].index()]]),
-            _ => cell.kind().eval(&[
-                self.values[ins[0].index()],
-                self.values[ins[1].index()],
-                self.values[ins[2].index()],
-            ]),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::Oracle;
+    use emtrust_netlist::cell::ALL_KINDS;
     use emtrust_netlist::graph::Netlist;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn truth_tables_match_cell_semantics() {
+        for kind in ALL_KINDS {
+            let Some(table) = truth_table(kind) else {
+                assert!(kind.is_sequential(), "{kind:?} has no truth table");
+                continue;
+            };
+            for pattern in 0..8u8 {
+                let ins: Vec<bool> = (0..kind.arity()).map(|i| pattern >> i & 1 != 0).collect();
+                assert_eq!(
+                    table >> pattern & 1 != 0,
+                    kind.eval(&ins),
+                    "{kind:?} pattern {pattern:03b}"
+                );
+            }
+        }
+    }
+
+    /// A random netlist that uses every combinational kind: a few primary
+    /// inputs, flip-flops whose `d` pins feed back from anywhere (other
+    /// flops included), and gates over any earlier net or constant.
+    fn random_netlist(seed: u64) -> (Netlist, Vec<NetId>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut n = Netlist::new("random");
+        let inputs: Vec<NetId> = (0..rng.gen_range(1..6usize))
+            .map(|i| n.input(format!("in{i}")))
+            .collect();
+        let mut nets = inputs.clone();
+        nets.extend([n.const0(), n.const1()]);
+        let mut deferred = Vec::new();
+        for _ in 0..rng.gen_range(1..8usize) {
+            let (q, d) = n.dff_deferred();
+            nets.push(q);
+            deferred.push(d);
+        }
+        let kinds: Vec<CellKind> = ALL_KINDS
+            .into_iter()
+            .filter(|k| !k.is_sequential())
+            .collect();
+        for i in 0..rng.gen_range(kinds.len()..80) {
+            // Every kind once, then random kinds.
+            let kind = kinds
+                .get(i)
+                .copied()
+                .unwrap_or_else(|| kinds[rng.gen_range(0..kinds.len())]);
+            let ins: Vec<NetId> = (0..kind.arity())
+                .map(|_| nets[rng.gen_range(0..nets.len())])
+                .collect();
+            let out = n.gate(kind, &ins);
+            nets.push(out);
+            if rng.gen_range(0..8u32) == 0 {
+                nets.push(n.dff(out));
+            }
+        }
+        for d in deferred {
+            let src = nets[rng.gen_range(0..nets.len())];
+            n.connect_dff_d(d, src);
+        }
+        (n, inputs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn tape_is_bit_identical_to_the_scalar_oracle(
+            seed in 0u64..u64::MAX,
+            cycles in 1usize..32,
+            settle_first in 0u8..2,
+        ) {
+            let (n, inputs) = random_netlist(seed);
+            let mut sim = Simulator::new(&n).unwrap();
+            let mut oracle = Oracle::new(&n).unwrap();
+            if settle_first == 1 {
+                sim.settle();
+                oracle.settle();
+            }
+            let mut stimulus = StdRng::seed_from_u64(!seed);
+            // An unrecorded prefix, then a recorded stretch.
+            for cycle in 0..cycles {
+                if cycle == cycles / 2 {
+                    sim.start_recording();
+                    oracle.start_recording();
+                }
+                for &net in &inputs {
+                    let v: bool = stimulus.gen();
+                    sim.set_input(net, v);
+                    oracle.set_input(net, v);
+                }
+                sim.step();
+                oracle.step();
+                prop_assert_eq!(&sim.values[..], oracle.values(), "cycle {}", cycle);
+            }
+            prop_assert_eq!(sim.take_recording(), oracle.take_recording());
+        }
+    }
+
+    #[test]
+    fn simulators_sharing_one_tape_match_one_with_its_own() {
+        let (n, inputs) = random_netlist(42);
+        let cache = TapeCache::new();
+        let mut own = Simulator::new(&n).unwrap();
+        let mut shared = [cache.simulator(&n).unwrap(), cache.simulator(&n).unwrap()];
+        let [Cow::Borrowed(a), Cow::Borrowed(b)] = [&shared[0].tape, &shared[1].tape] else {
+            panic!("cached simulators must borrow the tape");
+        };
+        assert!(std::ptr::eq(*a, *b), "one compile serves both");
+        own.start_recording();
+        for sim in &mut shared {
+            sim.start_recording();
+        }
+        for cycle in 0..16u32 {
+            for (i, &net) in inputs.iter().enumerate() {
+                let v = (cycle >> (i % 4)) & 1 != 0;
+                own.set_input(net, v);
+                for sim in &mut shared {
+                    sim.set_input(net, v);
+                }
+            }
+            own.step();
+            for sim in &mut shared {
+                sim.step();
+            }
+        }
+        let expect = own.take_recording();
+        assert!(expect.total_toggles() > 0);
+        for sim in &mut shared {
+            assert_eq!(sim.take_recording(), expect);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another netlist")]
+    fn a_tape_from_another_netlist_is_refused() {
+        let (a, _) = random_netlist(1);
+        let mut b = Netlist::new("other");
+        let x = b.input("x");
+        b.mark_output("y", x);
+        let tape = Tape::compile(&a).unwrap();
+        let _ = Simulator::with_tape(&b, &tape);
+    }
 
     fn counter2() -> (Netlist, Vec<NetId>) {
         // 2-bit binary counter: q0' = !q0; q1' = q1 ^ q0.
@@ -382,6 +746,13 @@ mod tests {
         };
         n.rewire_input(first, 0, x2).unwrap();
         assert!(Simulator::new(&n).is_err());
+        let cache = TapeCache::new();
+        for _ in 0..2 {
+            assert!(matches!(
+                cache.simulator(&n),
+                Err(NetlistError::CombinationalCycle { .. })
+            ));
+        }
     }
 
     #[test]

@@ -29,6 +29,31 @@
 //!
 //! There is also a small [`vcd`] writer for waveform inspection.
 //!
+//! # The compiled tape
+//!
+//! [`engine::Tape::compile`] validates and levelizes a netlist once and
+//! flattens its combinational cells, in eval order, into a flat tape. Each
+//! entry holds an 8-bit truth table indexed by the input pattern
+//! `a | b << 1 | c << 2` (`[a, b, c]` in pin order; `Buf`/`PadDriver` =
+//! `0xAA`, `Inv` = `0x55`, `Mux2` = `0xCA`, and so on), three input net
+//! slots (unused slots read the const-0 net), the output net, the
+//! `CellId` and the cell's switching slot `level + 1`. A cycle runs the
+//! tape without touching the netlist or branching on the gate kind. Its
+//! toggles go into one reusable buffer with a slot per flip-flop and per
+//! entry: each event is written unconditionally and the fill length
+//! advances by `changed as usize`. The cycle's events are then copied
+//! out at exact size.
+//!
+//! Compiling costs a few milliseconds on the full test chip. Owners that
+//! spawn many simulators over one netlist (`AesHarness`,
+//! `ProtectedChip`) keep a [`engine::TapeCache`]: the first simulator
+//! compiles the tape and every later one borrows it.
+//! [`engine::Simulator::new`] compiles a tape of its own.
+//!
+//! The per-cell netlist walk the tape replaced survives only as a test
+//! oracle (`oracle.rs`, compiled under `cfg(test)`); property tests over
+//! random netlists and a full-chip test hold the tape to it bit for bit.
+//!
 //! # Examples
 //!
 //! Simulate a toggle flip-flop for four cycles:
@@ -56,7 +81,9 @@
 
 pub mod activity;
 pub mod engine;
+#[cfg(test)]
+mod oracle;
 pub mod vcd;
 
 pub use activity::{ActivityTrace, CycleActivity, ToggleActivity, ToggleEvent};
-pub use engine::Simulator;
+pub use engine::{Simulator, Tape, TapeCache};

@@ -2,10 +2,11 @@
 //! four digital Trojans, each with its own trigger control.
 
 use crate::digital::{insert_trojan, TrojanKind, TrojanPorts, ALL_DIGITAL_TROJANS};
+use crate::TrojanError;
 use emtrust_aes::netlist::{build_aes, run_encryption, AesPorts};
 use emtrust_netlist::graph::Netlist;
 use emtrust_netlist::NetlistError;
-use emtrust_sim::engine::Simulator;
+use emtrust_sim::engine::{Simulator, TapeCache};
 use std::collections::BTreeMap;
 
 /// An AES-128 core with a selectable set of inserted Trojans, matching the
@@ -16,6 +17,8 @@ pub struct ProtectedChip {
     netlist: Netlist,
     aes: AesPorts,
     trojans: BTreeMap<TrojanKind, TrojanPorts>,
+    /// The simulation tape, compiled by the first [`Self::simulator`].
+    tape: TapeCache,
 }
 
 impl ProtectedChip {
@@ -31,6 +34,7 @@ impl ProtectedChip {
             netlist,
             aes,
             trojans,
+            tape: TapeCache::new(),
         }
     }
 
@@ -64,27 +68,35 @@ impl ProtectedChip {
         self.trojans.keys().copied()
     }
 
-    /// Spawns a simulator over the chip.
+    /// Spawns a simulator over the chip. The netlist is compiled once, on
+    /// the first call; later simulators share that tape.
     ///
     /// # Errors
     ///
-    /// Propagates structural errors from simulator construction.
+    /// Propagates structural errors from compiling the netlist.
     pub fn simulator(&self) -> Result<Simulator<'_>, NetlistError> {
-        Simulator::new(&self.netlist)
+        self.tape.simulator(&self.netlist)
     }
 
     /// Arms (`true`) or disarms (`false`) a Trojan's trigger on a running
     /// simulator.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the chip does not carry `kind`.
-    pub fn arm(&self, sim: &mut Simulator<'_>, kind: TrojanKind, on: bool) {
+    /// [`TrojanError::NotCarried`] if the chip does not carry `kind`; the
+    /// simulator is left untouched.
+    pub fn arm(
+        &self,
+        sim: &mut Simulator<'_>,
+        kind: TrojanKind,
+        on: bool,
+    ) -> Result<(), TrojanError> {
         let ports = self
             .trojans
             .get(&kind)
-            .unwrap_or_else(|| panic!("chip does not carry {kind}"));
+            .ok_or(TrojanError::NotCarried { kind })?;
         sim.set_input(ports.trigger, on);
+        Ok(())
     }
 
     /// Disarms every Trojan on the chip.
@@ -134,7 +146,7 @@ mod tests {
         assert_eq!(chip.encrypt(&mut sim, KEY, PT), expect);
         // Arm everything.
         for kind in ALL_DIGITAL_TROJANS {
-            chip.arm(&mut sim, kind, true);
+            chip.arm(&mut sim, kind, true).unwrap();
         }
         assert_eq!(chip.encrypt(&mut sim, KEY, PT), expect);
         chip.disarm_all(&mut sim);
@@ -148,7 +160,8 @@ mod tests {
         // One unrecorded encryption so every Trojan has absorbed its
         // start-strobe key load; then observe idle cycles.
         let _ = chip.encrypt(&mut sim, KEY, PT);
-        chip.arm(&mut sim, TrojanKind::T4PowerDegrader, true);
+        chip.arm(&mut sim, TrojanKind::T4PowerDegrader, true)
+            .unwrap();
         sim.step(); // trigger propagates
         sim.start_recording();
         sim.run(10);
@@ -174,11 +187,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not carry")]
-    fn arming_a_missing_trojan_panics() {
+    fn arming_a_missing_trojan_is_an_error() {
         let chip = ProtectedChip::golden();
         let mut sim = chip.simulator().unwrap();
-        chip.arm(&mut sim, TrojanKind::T1AmLeaker, true);
+        let err = chip.arm(&mut sim, TrojanKind::T1AmLeaker, true);
+        assert_eq!(
+            err,
+            Err(TrojanError::NotCarried {
+                kind: TrojanKind::T1AmLeaker
+            })
+        );
+        assert!(err.unwrap_err().to_string().contains("does not carry"));
     }
 
     #[test]

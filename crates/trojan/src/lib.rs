@@ -1,3 +1,14 @@
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 //! # emtrust-trojan
 //!
 //! The hardware Trojan benchmarks of the DAC 2020 on-chip EM sensor paper
@@ -27,3 +38,26 @@ pub mod digital;
 pub use a2::A2Trojan;
 pub use chip::ProtectedChip;
 pub use digital::{TrojanKind, TrojanPorts};
+
+use std::fmt;
+
+/// Errors produced when driving a chip's Trojans.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum TrojanError {
+    /// The chip does not carry the requested Trojan.
+    NotCarried {
+        /// The requested Trojan.
+        kind: TrojanKind,
+    },
+}
+
+impl fmt::Display for TrojanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TrojanError::NotCarried { kind } => write!(f, "chip does not carry {kind}"),
+        }
+    }
+}
+
+impl std::error::Error for TrojanError {}

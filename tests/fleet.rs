@@ -167,6 +167,9 @@ fn lru_eviction_refits_returning_chips() {
     let mut cfg = config(1);
     cfg.store.capacity = 4;
     cfg.store.cold_capacity = 64;
+    // Room for every batch: a shed batch would lose traces at admission,
+    // which is not what the count below is about.
+    cfg.queue_capacity = 256;
     let service = FleetService::new(cfg).expect("service");
     // 12 chips through a 4-slot store: heavy eviction...
     for round in 0..6u64 {
@@ -183,6 +186,7 @@ fn lru_eviction_refits_returning_chips() {
             .expect("return");
     }
     let summary = service.finish().expect("finish");
+    assert_eq!(summary.shed, 0);
     let shard = &summary.shards[0];
     assert!(shard.evictions > 0, "no evictions at capacity 4");
     assert!(shard.refits > 0, "returning chip did not re-fit");
